@@ -19,10 +19,14 @@ Contents
     The integer-indexed compiled search index: dense ``DM`` arrays, flattened
     adjacency, flat ATI boundary arrays and per-interval open-door bitsets,
     powering the engine's default fast path (``compiled=True``).
+:mod:`repro.core.kernel`
+    The one compiled door-level Dijkstra: a search over zero or more targets
+    on a reusable generation-stamped search arena, with an optional event log.
+    The engine's compiled path, the batch executor and the SP-tree cache all
+    run it.
 :mod:`repro.core.batch`
-    Vectorised batch query execution: the reusable generation-stamped search
-    arena, the common-source batch planner and the multi-target executor
-    behind ``ITSPQEngine.run_batch``.
+    Vectorised batch query execution: the common-source batch planner and the
+    multi-target executor behind ``ITSPQEngine.run_batch``.
 :mod:`repro.core.parallel`
     Supervised multiprocess batch execution: planned groups fanned out as
     tracked, retryable chunks over a pool of worker processes (arena per
@@ -40,10 +44,11 @@ Contents
     as correctness oracles by the test-suite.
 """
 
-from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner, SearchArena
+from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner
 from repro.core.cache import CacheConfig, SPTreeCache
 from repro.core.compiled import CompiledITGraph
 from repro.core.deadline import SearchDeadline
+from repro.core.kernel import SearchArena
 from repro.core.parallel import ExecutionReport, ParallelBatchExecutor, default_worker_count
 from repro.core.itgraph import DoorRecord, ITGraph, PartitionRecord, build_itgraph
 from repro.core.snapshot import GraphSnapshot, GraphUpdater, IntervalBitsets

@@ -5,168 +5,43 @@ distance/predecessor/settled state sized to the whole venue and re-runs the
 door-level Dijkstra from scratch, even when consecutive queries share their
 source point and query time.  For service-style workloads (many users asking
 routes from the same entrances at the same moment) that is almost all
-redundant work.  This module amortises it three ways:
-
-:class:`SearchArena`
-    A reusable block of preallocated search state — ``array('d')`` distance
-    labels, integer predecessor arrays, a shared heap list — with a
-    **generation stamp** per label slot.  Starting a new search increments
-    one integer instead of reallocating or clearing anything: a label is
-    valid only when its stamp equals the current generation, so resets are
-    O(1) regardless of venue size.
+redundant work.  This module amortises it two ways:
 
 :class:`BatchPlanner`
     Groups a workload by (anchor location, effective query time, TV-check
     method, temporal semantics, private-partition context).  Queries in one
-    group provably share
-    their entire door-level search trajectory; only the target legs differ.
-    Time-independent methods (``static``) collapse all query times into one
-    group; the ``query-time`` snapshot method groups by the global
-    ATI-boundary interval containing the query instant (probe outcomes are
-    constant inside it); the arrival-time-exact methods (ITG/S, ITG/A) group
-    by the exact query second.
+    group provably share their entire door-level search trajectory; only the
+    target legs differ.  Time-independent methods (``static``) collapse all
+    query times into one group; the ``query-time`` snapshot method groups by
+    the global ATI-boundary interval containing the query instant (probe
+    outcomes are constant inside it); the arrival-time-exact methods (ITG/S,
+    ITG/A) group by the exact query second.
 
 :class:`BatchExecutor`
-    Answers each group with a **single multi-target Dijkstra** over the
-    compiled graph, terminating early once every target in the group is
-    settled.  Per-query search statistics are reconstructed *exactly* — each
-    returned :class:`~repro.core.query.QueryResult` is bit-identical (path,
-    length and all counters) to what a sequential ``engine.run`` would have
-    produced, which ``tests/test_batch_parity.py`` enforces.
-
-Why exact per-query statistics are possible from one shared run: target
-nodes never relax anything, so the door-level event sequence (settles,
-relaxations, temporal checks, pushes and pops of door entries) of the shared
-search is identical to every member query's private search, truncated at the
-moment that member's target settles.  The executor therefore snapshots the
-shared counters at each target's settling pop and adds the member's own
-target-entry bookkeeping (pushes, the settling pop and the heap-occupancy
-contribution of its target entries) on top.  The only subtle quantity is
-``peak_heap_size``: for a member with ``k`` live target entries the virtual
-heap size is ``D + k`` where ``D`` is the shared source/door occupancy, so
-the executor tracks a prefix maximum of ``D`` for the (long) phase before a
-member's target is first discovered and per-member maxima for the (short)
-phase afterwards.
+    Answers each group with **one multi-target run** of the shared kernel
+    (:func:`repro.core.kernel.search`) on a reused, generation-stamped
+    :class:`~repro.core.kernel.SearchArena`, ending once every member's
+    target has settled.  Each returned
+    :class:`~repro.core.query.QueryResult` is bit-identical (path, length and
+    all counters) to what a sequential ``engine.run`` would have produced;
+    the kernel's module docstring says why one run can report every
+    member's own statistics, and ``tests/test_batch_parity.py`` enforces it.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
-from heapq import heappop, heappush
-from math import hypot
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import WALKING_SPEED_MPS
 from repro.core.cache import CacheConfig, SPTreeCache, TimeKeyResolver
 from repro.core.compiled import COMPILED_KINDS, CompiledITGraph
 from repro.core.deadline import SearchDeadline
-from repro.core.path import IndoorPath, PathHop
-from repro.core.query import ITSPQuery, QueryResult, SearchStatistics
-from repro.core.semantics import NO_WAIT, TemporalSemantics, derive_counters, make_edge_probe
+from repro.core.kernel import SearchArena, SearchTarget, graph_probe, search, target_result
+from repro.core.query import ITSPQuery, QueryResult
+from repro.core.semantics import NO_WAIT, TemporalSemantics
 from repro.core.snapshot import CompiledSnapshotStore
 from repro.exceptions import QueryError, UnknownEntityError
-from repro.temporal.timeofday import TimeOfDay
-
-_INFINITY = float("inf")
-
-
-class SearchArena:
-    """Reusable, generation-stamped search state for compiled Dijkstra runs.
-
-    One arena serves any number of consecutive searches over graphs with up
-    to :attr:`capacity` nodes.  All arrays are preallocated and grown
-    geometrically; :meth:`begin_run` makes every label instantly stale by
-    bumping :attr:`generation`, so per-query setup cost is independent of
-    venue size (the O(1) "generation stamp" reset).
-
-    Slot ``i`` of :attr:`dist` / :attr:`prev_node` / :attr:`prev_part` is
-    meaningful only while ``label_stamp[i] == generation``; a node is settled
-    only while ``settled_stamp[i] == generation``.
-    """
-
-    __slots__ = (
-        "capacity",
-        "generation",
-        "dist",
-        "prev_node",
-        "prev_part",
-        "label_stamp",
-        "settled_stamp",
-        "heap",
-    )
-
-    def __init__(self, capacity: int = 0):
-        self.capacity = 0
-        # Generation 0 is never used for a run, so freshly grown stamp slots
-        # (initialised to 0) are always stale.
-        self.generation = 0
-        self.dist = array("d")
-        self.prev_node = array("l")
-        self.prev_part = array("l")
-        # The stamps are plain lists: they are the hottest reads of the
-        # search (two probes per edge) and list indexing avoids the boxing
-        # cost of ``array`` element access.
-        self.label_stamp: List[int] = []
-        self.settled_stamp: List[int] = []
-        self.heap: List[Tuple[float, int, int]] = []
-        if capacity:
-            self.reserve(capacity)
-
-    def reserve(self, node_count: int) -> None:
-        """Grow the arrays to hold at least ``node_count`` node slots."""
-        if node_count <= self.capacity:
-            return
-        new_capacity = max(node_count, 2 * self.capacity, 64)
-        grow = new_capacity - self.capacity
-        self.dist.extend([0.0] * grow)
-        self.prev_node.extend([-1] * grow)
-        self.prev_part.extend([-1] * grow)
-        self.label_stamp.extend([0] * grow)
-        self.settled_stamp.extend([0] * grow)
-        self.capacity = new_capacity
-
-    def begin_run(self, node_count: int) -> int:
-        """Start a fresh search over ``node_count`` nodes; returns the new
-        generation stamp.  Leftover heap entries of an early-terminated
-        previous run are discarded."""
-        self.reserve(node_count)
-        self.generation += 1
-        del self.heap[:]
-        return self.generation
-
-
-class _Target(object):
-    """Per-member search state of one query inside a batch group."""
-
-    __slots__ = (
-        "order",
-        "query",
-        "query_seconds",
-        "target_pidx",
-        "tnode",
-        "tx",
-        "ty",
-        "tfloor",
-        "settled",
-        "t_count",
-        "peak",
-        "result",
-    )
-
-    def __init__(self, order, query, query_seconds, target_pidx, tnode, tx, ty, tfloor):
-        self.order = order
-        self.query = query
-        self.query_seconds = query_seconds
-        self.target_pidx = target_pidx
-        self.tnode = tnode
-        self.tx = tx
-        self.ty = ty
-        self.tfloor = tfloor
-        self.settled = False
-        self.t_count = 0
-        self.peak = 0
-        self.result: Optional[QueryResult] = None
 
 
 class BatchGroup:
@@ -444,356 +319,44 @@ class BatchExecutor:
                         result.statistics.runtime_seconds = elapsed
                         pairs.append((order, result))
                     continue
-            targets = self._run_group(group, deadline)
-            elapsed = (time.perf_counter() - started) / len(targets)
-            for target in targets:
-                target.result.statistics.runtime_seconds = elapsed
-                pairs.append((target.order, target.result))
+            answers = self._run_group(group, deadline)
+            elapsed = (time.perf_counter() - started) / len(answers)
+            for order, result in answers:
+                result.statistics.runtime_seconds = elapsed
+                pairs.append((order, result))
         return pairs
 
     # -- the shared multi-target search ------------------------------------------------
 
     def _run_group(
         self, group: BatchGroup, deadline: Optional[SearchDeadline] = None
-    ) -> List[_Target]:
-        """Run one group's shared search; returns its members with results.
-
-        This mirrors ``ITSPQEngine._search_compiled`` relaxation for
-        relaxation (same probe kernel from
-        :func:`repro.core.semantics.make_edge_probe`, same check-before-relax
-        order, same tie-breaking relative to every member's private search)
-        with three changes: labels live in the generation-stamped arena,
-        every member has its own target node relaxed from doors adjacent to
-        its target partition, and the shared counters are snapshotted per
-        member at its target's settling pop.
-        """
+    ) -> List[Tuple[int, QueryResult]]:
+        """Answer one group with a multi-target run of the shared kernel
+        (:func:`repro.core.kernel.search`) on the executor's arena; returns
+        ``(member order, result)`` pairs in member order."""
         graph = self._graph
         arena = self._arena
         kind = group.kind
         semantics = group.semantics
-        door_count = graph.door_count
-        source_node = door_count
+        speed = self._speed
         members = group.members
-        gen = arena.begin_run(door_count + 1 + len(members))
-
-        dist = arena.dist
-        prev_node = arena.prev_node
-        prev_part = arena.prev_part
-        label_stamp = arena.label_stamp
-        settled_stamp = arena.settled_stamp
-        heap = arena.heap
-        heappush_local = heappush
-        heappop_local = heappop
-
-        adjacency = graph.adjacency
-        door_x = graph.door_x
-        door_y = graph.door_y
-        door_floor = graph.door_floor
-        allowed_private = group.allowed_private
-        source_pidx = group.source_pidx
-        source = group.source
-        source_x, source_y, source_floor = source.x, source.y, source.floor
-        rep_seconds = group.rep_seconds
-        speed = self._speed
-
-        # -- member target records -----------------------------------------
-        targets: List[_Target] = []
-        targets_by_pidx: Dict[int, List[_Target]] = {}
-        for order, query, target_pidx in members:
-            point = semantics.search_endpoints(query)[1]
-            record = _Target(
-                order,
-                query,
-                query.query_time.seconds,
-                target_pidx,
-                door_count + 1 + len(targets),
-                point.x,
-                point.y,
-                point.floor,
-            )
-            targets.append(record)
-            targets_by_pidx.setdefault(target_pidx, []).append(record)
-        targets_get = targets_by_pidx.get
-
-        # -- shared counters (source/door events only) ----------------------
-        # ``occupancy`` is the number of source/door entries currently in the
-        # heap; ``prefix_peak`` its running maximum over pushes — the peak
-        # heap size of any member whose target is still undiscovered.
-        shared_pushes = 1  # the initial SOURCE push
-        shared_pops = 0
-        occupancy = 1
-        prefix_peak = 1
-        doors_settled = 0
-        relaxations = 0
-        partitions_expanded = 0
-        private_pruned = 0
-        temporally_pruned = 0
-        #: Members whose target entered the heap and is not yet settled; only
-        #: these need per-push peak updates (the phase is short: a discovered
-        #: target settles as soon as no closer door entry remains).
-        hot: List[_Target] = []
-
-        # The shared feasibility/pricing kernel — see make_edge_probe for the
-        # per-kind cost profile and for which probe counters are counted live
-        # (snapshotted per member below) versus derived from ``relaxations``.
-        probe, probe_counters = make_edge_probe(
-            semantics,
-            kind,
-            graph.ati_bounds,
-            rep_seconds,
-            speed,
-            interval_at=self._store.interval_at if kind == 1 else None,
+        targets = [
+            SearchTarget(target_pidx, semantics.search_endpoints(query)[1])
+            for _order, query, target_pidx in members
+        ]
+        probe, probe_counters = graph_probe(graph, self._store, semantics, kind, group.rep_seconds, speed)
+        search(
+            graph,
+            arena,
+            group.source,
+            group.source_pidx,
+            group.allowed_private,
+            probe,
+            probe_counters,
+            targets,
+            deadline=deadline,
         )
-
-        heap.append((0.0, 0, source_node))
-        dist[source_node] = 0.0
-        label_stamp[source_node] = gen
-        tie = 1
-
-        # Door-free direct legs for members whose endpoints share a partition
-        # (mirrors the sequential engine's pre-loop relaxation).
-        for record in targets:
-            if record.target_pidx == source_pidx and record.tfloor == source_floor:
-                direct = hypot(source_x - record.tx, source_y - record.ty)
-                tnode = record.tnode
-                dist[tnode] = direct
-                label_stamp[tnode] = gen
-                prev_node[tnode] = source_node
-                prev_part[tnode] = source_pidx
-                heappush_local(heap, (direct, tie, tnode))
-                tie += 1
-                record.t_count = 1
-                record.peak = prefix_peak if prefix_peak > occupancy + 1 else occupancy + 1
-                hot.append(record)
-
-        remaining = len(targets)
-        while heap:
-            if deadline is not None:
-                deadline.tick()
-            distance, _, node = heappop_local(heap)
-            if node > source_node:
-                # A member's target entry.  Stale entries (superseded pushes
-                # or entries of an already-settled member) are invisible to
-                # every member's private accounting.
-                record = targets[node - source_node - 1]
-                if record.settled or distance > dist[node]:
-                    continue
-                record.settled = True
-                hot.remove(record)
-                remaining -= 1
-                stats = SearchStatistics(
-                    doors_settled=doors_settled,
-                    relaxations=relaxations,
-                    heap_pushes=shared_pushes + record.t_count,
-                    heap_pops=shared_pops + 1,
-                    partitions_expanded=partitions_expanded,
-                    private_partitions_pruned=private_pruned,
-                    temporally_pruned_doors=temporally_pruned,
-                    ati_probes=probe_counters[0],
-                    snapshot_refreshes=probe_counters[1],
-                    membership_checks=probe_counters[2],
-                    peak_heap_size=record.peak,
-                )
-                record.result = QueryResult(
-                    query=record.query,
-                    method_label=group.method_label,
-                    found=True,
-                    path=None,  # reconstructed after the run, labels permitting
-                    length=distance,
-                    statistics=stats,
-                )
-                if remaining == 0:
-                    break
-                continue
-
-            shared_pops += 1
-            occupancy -= 1
-            if settled_stamp[node] == gen or distance > dist[node]:
-                continue
-            settled_stamp[node] = gen
-
-            if node == source_node:
-                partitions_expanded += 1
-                for door_idx in graph.leaveable_by_partition[source_pidx]:
-                    if door_floor[door_idx] != source_floor:
-                        continue
-                    leg = hypot(source_x - door_x[door_idx], source_y - door_y[door_idx])
-                    relaxations += 1
-                    leg = probe(door_idx, leg)
-                    if leg is None:
-                        temporally_pruned += 1
-                        continue
-                    if label_stamp[door_idx] != gen or leg < dist[door_idx]:
-                        dist[door_idx] = leg
-                        label_stamp[door_idx] = gen
-                        prev_node[door_idx] = source_node
-                        prev_part[door_idx] = source_pidx
-                        heappush_local(heap, (leg, tie, door_idx))
-                        tie += 1
-                        shared_pushes += 1
-                        occupancy += 1
-                        if occupancy > prefix_peak:
-                            prefix_peak = occupancy
-                        for record in hot:
-                            peak = occupancy + record.t_count
-                            if peak > record.peak:
-                                record.peak = peak
-                continue
-
-            # ``node`` is a door with a settled (shortest) distance label.
-            doors_settled += 1
-            door_distance = dist[node]
-            dx = door_x[node]
-            dy = door_y[node]
-            dfloor = door_floor[node]
-            for partition_idx, is_private, edges in adjacency[node]:
-                if is_private and partition_idx not in allowed_private:
-                    private_pruned += 1
-                    continue
-                partitions_expanded += 1
-
-                tlist = targets_get(partition_idx)
-                if tlist is not None:
-                    for record in tlist:
-                        if record.settled or dfloor != record.tfloor:
-                            continue
-                        candidate = door_distance + hypot(record.tx - dx, record.ty - dy)
-                        tnode = record.tnode
-                        if label_stamp[tnode] != gen or candidate < dist[tnode]:
-                            dist[tnode] = candidate
-                            label_stamp[tnode] = gen
-                            prev_node[tnode] = node
-                            prev_part[tnode] = partition_idx
-                            heappush_local(heap, (candidate, tie, tnode))
-                            tie += 1
-                            if record.t_count:
-                                record.t_count += 1
-                                peak = occupancy + record.t_count
-                                if peak > record.peak:
-                                    record.peak = peak
-                            else:
-                                record.t_count = 1
-                                record.peak = (
-                                    prefix_peak
-                                    if prefix_peak > occupancy + 1
-                                    else occupancy + 1
-                                )
-                                hot.append(record)
-
-                # One probe-kernel edge loop for every semantics and method,
-                # mirroring the sequential engine's check-before-relax order.
-                for next_idx, leg in edges:
-                    if settled_stamp[next_idx] == gen:
-                        continue
-                    candidate = door_distance + leg
-                    relaxations += 1
-                    candidate = probe(next_idx, candidate)
-                    if candidate is None:
-                        temporally_pruned += 1
-                        continue
-                    if label_stamp[next_idx] != gen or candidate < dist[next_idx]:
-                        dist[next_idx] = candidate
-                        label_stamp[next_idx] = gen
-                        prev_node[next_idx] = node
-                        prev_part[next_idx] = partition_idx
-                        heappush_local(heap, (candidate, tie, next_idx))
-                        tie += 1
-                        shared_pushes += 1
-                        occupancy += 1
-                        if occupancy > prefix_peak:
-                            prefix_peak = occupancy
-                        for record in hot:
-                            peak = occupancy + record.t_count
-                            if peak > record.peak:
-                                record.peak = peak
-
-        # -- finalisation ---------------------------------------------------
-        # Probe counters that are exact functions of the relaxation count are
-        # patched into each member's snapshot (see derive_counters) the same
-        # way the sequential engine does; every result then runs through the
-        # semantics' finalise hook (a no-op for forward semantics).
-        for record in targets:
-            if record.settled:
-                derive_counters(semantics, kind, record.result.statistics)
-                record.result.path = self._reconstruct(record, gen, source_node)
-            else:
-                # Heap exhausted: no valid route for this member.  Its private
-                # search would have run the identical full trajectory.
-                stats = SearchStatistics(
-                    doors_settled=doors_settled,
-                    relaxations=relaxations,
-                    heap_pushes=shared_pushes,
-                    heap_pops=shared_pops,
-                    partitions_expanded=partitions_expanded,
-                    private_partitions_pruned=private_pruned,
-                    temporally_pruned_doors=temporally_pruned,
-                    ati_probes=probe_counters[0],
-                    snapshot_refreshes=probe_counters[1],
-                    membership_checks=probe_counters[2],
-                    peak_heap_size=prefix_peak,
-                )
-                derive_counters(semantics, kind, stats)
-                record.result = QueryResult(
-                    query=record.query,
-                    method_label=group.method_label,
-                    found=False,
-                    path=None,
-                    length=_INFINITY,
-                    statistics=stats,
-                )
-            record.result = semantics.finalise_result(record.result, speed)
-        return targets
-
-    def _reconstruct(self, record: _Target, gen: int, source_node: int) -> IndoorPath:
-        """Arena-label twin of ``ITSPQEngine._reconstruct_compiled``.
-
-        Safe to run after the shared search: every door on a settled target's
-        predecessor chain was itself settled earlier, and settled labels are
-        immutable until the next :meth:`SearchArena.begin_run`.
-        """
-        graph = self._graph
-        arena = self._arena
-        dist = arena.dist
-        prev_node = arena.prev_node
-        prev_part = arena.prev_part
-        door_ids = graph.door_ids
-        partition_ids = graph.partition_ids
-        semantics = record.query.semantics
-        anchor_point, goal_point = semantics.search_endpoints(record.query)
-        forward = semantics.forward
-        query_seconds = record.query_seconds
-        speed = self._speed
-        from_seconds = TimeOfDay._from_seconds_unchecked
-
-        chain: List[Tuple[int, int]] = []
-        node = record.tnode
-        while node != source_node:
-            chain.append((node, prev_part[node]))
-            node = prev_node[node]
-        chain.reverse()
-
-        hops: List[PathHop] = []
-        for index, (node, via_partition) in enumerate(chain):
-            if node == record.tnode:
-                break
-            next_via = chain[index + 1][1]
-            offset = dist[node] / speed
-            arrival = from_seconds(query_seconds + offset if forward else query_seconds - offset)
-            hops.append(
-                PathHop(
-                    door_ids[node],
-                    partition_ids[via_partition],
-                    partition_ids[next_via],
-                    dist[node],
-                    arrival,
-                )
-            )
-
-        return IndoorPath(
-            source=anchor_point,
-            target=goal_point,
-            query_time=record.query.query_time,
-            hops=hops,
-            total_length=dist[record.tnode],
-            method_label=record.result.method_label,
-        )
+        return [
+            (order, target_result(graph, arena, target, query, group.method_label, kind, speed))
+            for (order, query, _target_pidx), target in zip(members, targets)
+        ]

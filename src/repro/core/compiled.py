@@ -27,10 +27,10 @@ would observe (the order of the topology's frozenset views), so the compiled
 Dijkstra settles nodes in exactly the same sequence and returns bit-identical
 paths, lengths and search statistics — the parity tests assert this.
 
-The four ``TV_Check`` instantiations have seconds-based counterparts here
-(:class:`CompiledSyncCheck`, :class:`CompiledAsyncCheck`,
-:class:`CompiledStaticCheck`, :class:`CompiledQueryTimeCheck`) that keep the
-paper's check-before-relax ordering and the reference strategies' counters.
+The search over these structures is :func:`repro.core.kernel.search`; the
+four ``TV_Check`` instantiations reach it as the seconds-based probe closures
+of :func:`repro.core.semantics.make_edge_probe`, which keep the reference
+strategies' counters.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.itgraph import ITGraph
-from repro.core.snapshot import CompiledSnapshotStore, IntervalBitsets
+from repro.core.snapshot import IntervalBitsets
 from repro.exceptions import UnknownEntityError
 from repro.indoor.entities import Partition
 
@@ -51,9 +51,8 @@ CompiledEdge = Tuple[int, float]
 #: ``(partition_index, partition_is_private, edges)``
 CompiledGroup = Tuple[int, bool, Tuple[CompiledEdge, ...]]
 
-#: canonical method name -> (dispatch kind, paper label); the kinds index the
-#: inline TV-check branches shared by ``ITSPQEngine._search_compiled`` and the
-#: batch executor's multi-target search (:mod:`repro.core.batch`).
+#: canonical method name -> (probe kind, paper label); the kind selects the
+#: TV-check probe of :func:`repro.core.semantics.make_edge_probe`.
 COMPILED_KINDS: Dict[str, Tuple[int, str]] = {
     "synchronous": (0, "ITG/S"),
     "asynchronous": (1, "ITG/A"),
@@ -708,159 +707,3 @@ class IntervalOverlays:
             f"IntervalOverlays({self.interval_count} intervals, {self.door_count} doors, "
             f"{len(self.landmark_indices)} landmarks)"
         )
-
-
-class _CompiledCheckBase:
-    """Shared counter plumbing of the compiled ``TV_Check`` variants.
-
-    The compiled checks speak integers and seconds: ``passable(door_idx,
-    distance_from_source)`` answers whether the door can be crossed by a
-    traveller who left the source at the ``begin``-time and has walked the
-    given distance.  Counters mirror the reference strategies exactly so the
-    merged :class:`~repro.core.query.SearchStatistics` stay bit-identical.
-    """
-
-    __slots__ = ("ati_probes", "snapshot_refreshes", "membership_checks")
-
-    method_label = "abstract"
-
-    def __init__(self) -> None:
-        self.ati_probes = 0
-        self.snapshot_refreshes = 0
-        self.membership_checks = 0
-
-    def begin(self, query_seconds: float) -> None:
-        """Reset per-query state; called once before each compiled search."""
-        self.ati_probes = 0
-        self.snapshot_refreshes = 0
-        self.membership_checks = 0
-
-    def counters(self) -> Dict[str, int]:
-        """Counter snapshot in the reference strategies' format."""
-        return {
-            "ati_probes": self.ati_probes,
-            "snapshot_refreshes": self.snapshot_refreshes,
-            "membership_checks": self.membership_checks,
-        }
-
-
-class CompiledSyncCheck(_CompiledCheckBase):
-    """``Syn_Check`` on flat arrays: arrival seconds + one boundary bisect."""
-
-    __slots__ = ("_bounds", "_speed", "_query_seconds")
-
-    method_label = "ITG/S"
-
-    def __init__(self, compiled: CompiledITGraph, walking_speed: float):
-        super().__init__()
-        self._bounds = compiled.ati_bounds
-        self._speed = walking_speed
-        self._query_seconds = 0.0
-
-    def begin(self, query_seconds: float) -> None:
-        super().begin(query_seconds)
-        self._query_seconds = query_seconds
-
-    def passable(self, door_idx: int, distance_from_source: float) -> bool:
-        self.ati_probes += 1
-        t_arr = self._query_seconds + distance_from_source / self._speed
-        return bisect_right(self._bounds[door_idx], t_arr) & 1 == 1
-
-
-class CompiledAsyncCheck(_CompiledCheckBase):
-    """``Asyn_Check`` on bitsets: lazily advanced interval + index test.
-
-    Mirrors :class:`~repro.core.tvcheck.AsynchronousCheck` move for move —
-    in-interval arrivals are answered from the current bitset, arrivals past
-    the interval end advance the interval (one refresh), and out-of-order
-    arrivals before the interval fall back to a direct boundary-array probe.
-    """
-
-    __slots__ = ("_bounds", "_speed", "_store", "_query_seconds", "_start", "_end", "_bits")
-
-    method_label = "ITG/A"
-
-    def __init__(
-        self,
-        compiled: CompiledITGraph,
-        store: CompiledSnapshotStore,
-        walking_speed: float,
-    ):
-        super().__init__()
-        self._bounds = compiled.ati_bounds
-        self._speed = walking_speed
-        self._store = store
-        self._query_seconds = 0.0
-        self._start = 0.0
-        self._end = math.inf
-        self._bits = b""
-
-    def begin(self, query_seconds: float) -> None:
-        super().begin(query_seconds)
-        self._query_seconds = query_seconds
-        self._start, self._end, self._bits = self._store.interval_at(query_seconds)
-        self.snapshot_refreshes += 1
-
-    def passable(self, door_idx: int, distance_from_source: float) -> bool:
-        t_arr = self._query_seconds + distance_from_source / self._speed
-        if self._start <= t_arr < self._end:
-            self.membership_checks += 1
-            return self._bits[door_idx] == 1
-        if t_arr >= self._end:
-            self._start, self._end, self._bits = self._store.interval_at(t_arr)
-            self.snapshot_refreshes += 1
-            self.membership_checks += 1
-            return self._bits[door_idx] == 1
-        self.ati_probes += 1
-        return bisect_right(self._bounds[door_idx], t_arr) & 1 == 1
-
-
-class CompiledStaticCheck(_CompiledCheckBase):
-    """Temporal-unaware check: every door passes (membership counted)."""
-
-    __slots__ = ()
-
-    method_label = "static"
-
-    def passable(self, door_idx: int, distance_from_source: float) -> bool:
-        self.membership_checks += 1
-        return True
-
-
-class CompiledQueryTimeCheck(_CompiledCheckBase):
-    """Approximate check probing ATIs at the query time, not the arrival."""
-
-    __slots__ = ("_bounds", "_query_seconds")
-
-    method_label = "query-time-snapshot"
-
-    def __init__(self, compiled: CompiledITGraph):
-        super().__init__()
-        self._bounds = compiled.ati_bounds
-        self._query_seconds = 0.0
-
-    def begin(self, query_seconds: float) -> None:
-        super().begin(query_seconds)
-        self._query_seconds = query_seconds
-
-    def passable(self, door_idx: int, distance_from_source: float) -> bool:
-        self.ati_probes += 1
-        return bisect_right(self._bounds[door_idx], self._query_seconds) & 1 == 1
-
-
-def make_compiled_check(
-    method: str,
-    compiled: CompiledITGraph,
-    store: CompiledSnapshotStore,
-    walking_speed: float,
-):
-    """Factory mapping canonical method names to compiled check instances."""
-    if method == "synchronous":
-        return CompiledSyncCheck(compiled, walking_speed)
-    if method == "asynchronous":
-        return CompiledAsyncCheck(compiled, store, walking_speed)
-    if method == "static":
-        return CompiledStaticCheck()
-    if method == "query-time":
-        return CompiledQueryTimeCheck(compiled)
-    raise ValueError(f"unknown TV-check method {method!r}")

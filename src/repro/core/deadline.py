@@ -3,11 +3,11 @@
 A production query service cannot let one oversized or stuck search pin a
 process: every admitted request carries a wall-clock budget, and the search
 itself must observe it.  :class:`SearchDeadline` is that budget as a value
-the Dijkstra loops can poll cheaply — the reference search
-(``ITSPQEngine._search``), the compiled search (``_search_compiled``), the
-batch executor's shared multi-target search (``BatchExecutor._run_group``)
-and the cache's recording run (``SPTreeCache._record_tree``) all call
-:meth:`SearchDeadline.tick` once per heap pop.
+the two Dijkstra loops poll cheaply: the reference search
+(``ITSPQEngine._search``) and the compiled kernel
+(:func:`repro.core.kernel.search`, which answers single queries, batch groups
+and cache recordings) both call :meth:`SearchDeadline.tick` once per heap
+pop.
 
 Design constraints, in order:
 
@@ -15,8 +15,9 @@ Design constraints, in order:
   :class:`~repro.exceptions.DeadlineExceededError` out of the search; no
   result object is ever built from an interrupted run.  The engines and
   executors keep no cross-query mutable state that an abort could poison
-  (the batch arena is generation-stamped, the single-query searches allocate
-  per call), so the next query on the same engine is unaffected.
+  (the batch arena is generation-stamped, single queries and cache
+  recordings run on a fresh arena per call, and an aborted recording caches
+  nothing), so the next query on the same engine is unaffected.
 * **Cheap when armed, free when absent.**  The hot loops guard the call
   with ``if deadline is not None``; an armed deadline costs one integer
   decrement per pop and reads the clock only every ``check_interval`` pops

@@ -41,7 +41,6 @@ import enum
 import heapq
 import itertools
 import time
-from math import hypot
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.constants import WALKING_SPEED_MPS
@@ -53,12 +52,8 @@ from repro.core.parallel import ExecutionReport, ParallelBatchExecutor, default_
 from repro.core.itgraph import ITGraph
 from repro.core.path import IndoorPath, PathHop
 from repro.core.query import ITSPQuery, QueryResult, SearchStatistics
-from repro.core.semantics import (
-    NoWait,
-    derive_counters,
-    make_edge_probe,
-    make_reference_probe,
-)
+from repro.core.kernel import SearchArena, SearchTarget, graph_probe, search, target_result
+from repro.core.semantics import NoWait, make_reference_probe
 from repro.core.snapshot import CompiledSnapshotStore, GraphUpdater
 from repro.core.tvcheck import TVCheckStrategy, canonical_method, make_strategy
 from repro.exceptions import QueryError, UnknownEntityError
@@ -824,292 +819,52 @@ class ITSPQEngine:
 
     # -- the compiled search (integer-label fast path) ---------------------------------------
 
-    #: canonical method name -> (dispatch kind, paper label); shared with the
-    #: batch executor's multi-target search (see ``repro.core.compiled``).
-    _COMPILED_KINDS = COMPILED_KINDS
-
     def _search_compiled(
         self,
         itsp_query: ITSPQuery,
         method_name: str,
         deadline: Optional[SearchDeadline] = None,
     ) -> QueryResult:
-        """Algorithm 1 over the compiled integer-indexed graph.
+        """Algorithm 1 over the compiled integer-indexed graph: a one-target
+        run of the shared kernel (:func:`repro.core.kernel.search`) on a
+        fresh arena, so concurrent calls share no search state.
 
         Same semantics, same counters, same tie-breaking as :meth:`_search` —
         the compiled adjacency preserves the reference search's iteration
         order, so results (paths, lengths, statistics) are bit-identical.
-        The hot loop touches only list-indexed floats and ints: no string
-        dict probes, no ``frozenset`` views, no ``TimeOfDay`` allocations.
-
-        Temporal feasibility/pricing is delegated to the probe closure from
-        :func:`repro.core.semantics.make_edge_probe` — the single source of
-        truth for the four TV-check methods and the non-default semantics —
-        so a relaxation costs one call plus one ``bisect``/bit test.  The
-        check-before-relax ordering of Algorithm 1 is preserved.
         """
-        compiled_graph = self._compiled_graph
-        stats = SearchStatistics()
+        graph = self._compiled_graph
         semantics = itsp_query.semantics
         anchor_point, goal_point = semantics.search_endpoints(itsp_query)
-
         try:
-            source_pidx = compiled_graph.locate_index(anchor_point)
-            target_pidx = compiled_graph.locate_index(goal_point)
+            source_pidx = graph.locate_index(anchor_point)
+            target_pidx = graph.locate_index(goal_point)
         except UnknownEntityError as exc:
             raise QueryError(f"query endpoint outside the indoor space: {exc}") from exc
-
-        allowed_private = {source_pidx, target_pidx}
-        kind, method_label = self._COMPILED_KINDS[method_name]
-
-        query_seconds = itsp_query.query_time.seconds
-        speed = self._walking_speed
-        probe, probe_counters = make_edge_probe(
+        kind, method_label = COMPILED_KINDS[method_name]
+        probe, probe_counters = graph_probe(
+            graph,
+            self._compiled_store,
             semantics,
             kind,
-            compiled_graph.ati_bounds,
-            query_seconds,
-            speed,
-            interval_at=self._compiled_store.interval_at if kind == 1 else None,
+            itsp_query.query_time.seconds,
+            self._walking_speed,
         )
-        partition_once = self._partition_once
-        visited = bytearray(compiled_graph.partition_count) if partition_once else None
-
-        door_count = compiled_graph.door_count
-        source_node = door_count
-        target_node = door_count + 1
-        dist: List[float] = [_INFINITY] * (door_count + 2)
-        dist[source_node] = 0.0
-        prev_node: List[int] = [-1] * (door_count + 2)
-        prev_part: List[int] = [-1] * (door_count + 2)
-        settled = bytearray(door_count + 2)
-        adjacency = compiled_graph.adjacency
-        door_x = compiled_graph.door_x
-        door_y = compiled_graph.door_y
-        door_floor = compiled_graph.door_floor
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        source_x, source_y, source_floor = anchor_point.x, anchor_point.y, anchor_point.floor
-        target_x, target_y, target_floor = goal_point.x, goal_point.y, goal_point.floor
-
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source_node)]
-        tie = 1
-        heap_pushes = 1
-        heap_pops = 0
-        heap_size = 1
-        # The initial SOURCE push counts toward the peak, like every other
-        # push (both engines track this uniformly).
-        peak_heap = 1
-        doors_settled = 0
-        relaxations = 0
-        partitions_expanded = 0
-        private_pruned = 0
-        temporally_pruned = 0
-
-        # A door-free direct path when both endpoints share a partition.
-        if source_pidx == target_pidx and source_floor == target_floor:
-            direct = hypot(source_x - target_x, source_y - target_y)
-            dist[target_node] = direct
-            prev_node[target_node] = source_node
-            prev_part[target_node] = source_pidx
-            heappush(heap, (direct, tie, target_node))
-            tie += 1
-            heap_pushes += 1
-            heap_size += 1
-            if heap_size > peak_heap:
-                peak_heap = heap_size
-
-        found_distance = _INFINITY
-        found = False
-        while heap:
-            if deadline is not None:
-                deadline.tick()
-            distance, _, node = heappop(heap)
-            heap_pops += 1
-            heap_size -= 1
-            if settled[node] or distance > dist[node]:
-                continue
-            settled[node] = 1
-
-            if node == target_node:
-                found = True
-                found_distance = distance
-                break
-
-            if node == source_node:
-                partitions_expanded += 1
-                for door_idx in compiled_graph.leaveable_by_partition[source_pidx]:
-                    if door_floor[door_idx] != source_floor:
-                        continue
-                    leg = hypot(source_x - door_x[door_idx], source_y - door_y[door_idx])
-                    relaxations += 1
-                    # Feasibility/pricing per the query's semantics and
-                    # TV-check method: see make_edge_probe, the single source
-                    # of truth (it also documents which probe counters are
-                    # counted live and which are derived from ``relaxations``).
-                    cost = probe(door_idx, leg)
-                    if cost is None:
-                        temporally_pruned += 1
-                        continue
-                    if cost < dist[door_idx]:
-                        dist[door_idx] = cost
-                        prev_node[door_idx] = source_node
-                        prev_part[door_idx] = source_pidx
-                        heappush(heap, (cost, tie, door_idx))
-                        tie += 1
-                        heap_pushes += 1
-                        heap_size += 1
-                        if heap_size > peak_heap:
-                            peak_heap = heap_size
-                continue
-
-            # ``node`` is a door with a settled (shortest) distance label.
-            doors_settled += 1
-            door_distance = dist[node]
-            for partition_idx, is_private, edges in adjacency[node]:
-                if partition_once and visited[partition_idx]:
-                    continue
-                if is_private and partition_idx not in allowed_private:
-                    private_pruned += 1
-                    continue
-                if partition_once:
-                    visited[partition_idx] = 1
-                partitions_expanded += 1
-
-                if partition_idx == target_pidx and door_floor[node] == target_floor:
-                    candidate = door_distance + hypot(
-                        target_x - door_x[node], target_y - door_y[node]
-                    )
-                    if candidate < dist[target_node]:
-                        dist[target_node] = candidate
-                        prev_node[target_node] = node
-                        prev_part[target_node] = partition_idx
-                        heappush(heap, (candidate, tie, target_node))
-                        tie += 1
-                        heap_pushes += 1
-                        heap_size += 1
-                        if heap_size > peak_heap:
-                            peak_heap = heap_size
-                    if partition_once:
-                        # Lines 20-24: a door adjacent to the target partition
-                        # only relaxes p_t in the literal algorithm.
-                        continue
-
-                for next_idx, leg in edges:
-                    if settled[next_idx]:
-                        continue
-                    candidate = door_distance + leg
-                    relaxations += 1
-                    cost = probe(next_idx, candidate)
-                    if cost is None:
-                        temporally_pruned += 1
-                        continue
-                    if cost < dist[next_idx]:
-                        dist[next_idx] = cost
-                        prev_node[next_idx] = node
-                        prev_part[next_idx] = partition_idx
-                        heappush(heap, (cost, tie, next_idx))
-                        tie += 1
-                        heap_pushes += 1
-                        heap_size += 1
-                        if heap_size > peak_heap:
-                            peak_heap = heap_size
-
-        stats.heap_pushes = heap_pushes
-        stats.heap_pops = heap_pops
-        stats.peak_heap_size = peak_heap
-        stats.doors_settled = doors_settled
-        stats.relaxations = relaxations
-        stats.partitions_expanded = partitions_expanded
-        stats.private_partitions_pruned = private_pruned
-        stats.temporally_pruned_doors = temporally_pruned
-        stats.ati_probes = probe_counters[0]
-        stats.snapshot_refreshes = probe_counters[1]
-        stats.membership_checks = probe_counters[2]
-        derive_counters(semantics, kind, stats)
-
-        if not found:
-            return semantics.finalise_result(
-                QueryResult(
-                    query=itsp_query,
-                    method_label=method_label,
-                    found=False,
-                    path=None,
-                    length=_INFINITY,
-                    statistics=stats,
-                ),
-                speed,
-            )
-
-        path = self._reconstruct_compiled(
-            itsp_query, dist, prev_node, prev_part, source_node, target_node, method_label
+        arena = SearchArena(graph.door_count + 2)
+        target = SearchTarget(target_pidx, goal_point)
+        search(
+            graph,
+            arena,
+            anchor_point,
+            source_pidx,
+            {source_pidx, target_pidx},
+            probe,
+            probe_counters,
+            (target,),
+            partition_once=self._partition_once,
+            deadline=deadline,
         )
-        return semantics.finalise_result(
-            QueryResult(
-                query=itsp_query,
-                method_label=method_label,
-                found=True,
-                path=path,
-                length=found_distance,
-                statistics=stats,
-            ),
-            speed,
-        )
-
-    def _reconstruct_compiled(
-        self,
-        itsp_query: ITSPQuery,
-        dist: List[float],
-        prev_node: List[int],
-        prev_part: List[int],
-        source_node: int,
-        target_node: int,
-        method_label: str,
-    ) -> IndoorPath:
-        """Integer-label twin of :meth:`_reconstruct` (same hops, same floats)."""
-        compiled_graph = self._compiled_graph
-        door_ids = compiled_graph.door_ids
-        partition_ids = compiled_graph.partition_ids
-        semantics = itsp_query.semantics
-        anchor_point, goal_point = semantics.search_endpoints(itsp_query)
-        forward = semantics.forward
-        query_seconds = itsp_query.query_time.seconds
-        speed = self._walking_speed
-        from_seconds = TimeOfDay._from_seconds_unchecked
-
-        chain: List[Tuple[int, int]] = []
-        node = target_node
-        while node != source_node:
-            chain.append((node, prev_part[node]))
-            node = prev_node[node]
-        chain.reverse()
-
-        hops: List[PathHop] = []
-        for index, (node, via_partition) in enumerate(chain):
-            if node == target_node:
-                break
-            next_via = chain[index + 1][1]
-            offset = dist[node] / speed
-            arrival = from_seconds(query_seconds + offset if forward else query_seconds - offset)
-            hops.append(
-                PathHop(
-                    door_ids[node],
-                    partition_ids[via_partition],
-                    partition_ids[next_via],
-                    dist[node],
-                    arrival,
-                )
-            )
-
-        return IndoorPath(
-            source=anchor_point,
-            target=goal_point,
-            query_time=itsp_query.query_time,
-            hops=hops,
-            total_length=dist[target_node],
-            method_label=method_label,
-        )
+        return target_result(graph, arena, target, itsp_query, method_label, kind, self._walking_speed)
 
     # -- expansion helpers ---------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ Process model
   without any semantics-specific plumbing in this module.
 * **Arena per worker.**  Each worker process owns one
   :class:`~repro.core.batch.BatchExecutor` — and therefore one
-  generation-stamped :class:`~repro.core.batch.SearchArena` and one
+  generation-stamped :class:`~repro.core.kernel.SearchArena` and one
   :class:`~repro.core.snapshot.CompiledSnapshotStore` — reused across every
   chunk and every ``run_batch`` call it serves.  Nothing is shared between
   workers at search time, so there are no locks on the hot path.
@@ -60,11 +60,15 @@ following rungs until the chunk's results exist:
    initializer failure, corrupt payload at rehydration) or blew through the
    per-chunk timeout costs the whole pool: the supervisor kills any stuck
    processes, sleeps a bounded exponential backoff, respawns the pool and
-   resubmits.  Chunks that merely shared the doomed pool are requeued
-   without being charged a retry.
+   resubmits.  A worker death fails every in-flight future alike, so a
+   crash is charged only to a chunk that was alone in flight: when several
+   were, they are requeued uncharged as suspects and re-dispatched one at a
+   time until the culprit crashes alone.  Chunks that merely shared the
+   doomed pool are never charged a retry.
 3. **In-process fallback.**  A chunk that exhausts ``max_chunk_retries`` —
    or a pool that cannot survive ``max_chunk_retries + 1`` consecutive
-   respawns — is executed in the parent via
+   respawns with no chunk to blame (e.g. every initializer dies) — is
+   executed in the parent via
    :meth:`~repro.core.batch.BatchExecutor.run_planned`, which cannot be
    killed by pool failures.  This rung is what makes the ladder total:
    ``run_batch`` always returns complete, bit-identical results, no matter
@@ -102,7 +106,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.constants import WALKING_SPEED_MPS
 from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner
@@ -524,7 +528,14 @@ class ParallelBatchExecutor:
         fallback: List[_ChunkTask] = []
         in_flight: Dict[Future, _ChunkTask] = {}
         pairs: List[Tuple[int, QueryResult]] = []
+        #: Chunks that were in flight when a pool died with no chunk to blame;
+        #: while any remain, chunks run one at a time, so the next death has
+        #: exactly one suspect.
+        suspects: Set[int] = set()
+        #: Respawns since the last completed chunk (the backoff exponent), and
+        #: the subset with nobody to blame (the drain guard).
         consecutive_respawns = 0
+        unblamed_respawns = 0
         #: The most recent failure kind — what never-dispatched chunks are
         #: attributed to when the respawn guard drains the queue.
         last_failure_kind: Optional[str] = None
@@ -545,9 +556,11 @@ class ParallelBatchExecutor:
 
         while pending or in_flight:
             broken = False
+            blamed = False
             # Fill the pool: one in-flight chunk per worker, so the timeout
             # clock of a chunk starts only when a worker actually holds it.
-            while pending and len(in_flight) < self._workers and not broken:
+            capacity = 1 if suspects else self._workers
+            while pending and len(in_flight) < capacity and not broken:
                 task = pending.popleft()
                 try:
                     future = self._ensure_pool().submit(
@@ -576,20 +589,35 @@ class ParallelBatchExecutor:
                     next_deadline = min(task.deadline for task in in_flight.values())
                     timeout = max(0.0, next_deadline - time.monotonic())
                 done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
+                crashed: List[_ChunkTask] = []
                 for future in done:
                     task = in_flight.pop(future)
                     error = future.exception()
                     if error is None:
                         pairs.extend(future.result())
                         report.chunks_completed += 1
-                        consecutive_respawns = 0
+                        suspects.discard(task.chunk_id)
+                        consecutive_respawns = unblamed_respawns = 0
                     elif isinstance(error, BrokenProcessPool):
                         report.worker_crashes += 1
                         broken = True
-                        charge_failure(task, "crash")
+                        crashed.append(task)
                     else:
                         report.chunk_failures += 1
                         charge_failure(task, "failure")
+                if len(crashed) == 1 and not in_flight:
+                    # The chunk's worker died while no other chunk was left
+                    # in flight: the crash is the chunk's own.
+                    suspects.discard(crashed[0].chunk_id)
+                    blamed = True
+                    charge_failure(crashed[0], "crash")
+                else:
+                    # A death every in-flight future reports: requeue without
+                    # charging anyone, and isolate the suspects.
+                    for task in crashed:
+                        last_failure_kind = "crash"
+                        suspects.add(task.chunk_id)
+                        pending.appendleft(task)
                 if self._chunk_timeout is not None:
                     now = time.monotonic()
                     for future, task in list(in_flight.items()):
@@ -599,20 +627,27 @@ class ParallelBatchExecutor:
                             # The worker still holds the chunk; reclaiming it
                             # means condemning the pool.
                             broken = True
+                            blamed = True
                             charge_failure(task, "timeout")
 
             if broken:
                 # Salvage completed-but-uncollected chunks, requeue the rest
-                # without charging them (they merely shared the doomed pool).
+                # without charging them (they merely shared the doomed pool);
+                # with nobody blamed, each of them is a suspect.
                 for future, task in list(in_flight.items()):
                     if future.done() and future.exception() is None:
                         pairs.extend(future.result())
                         report.chunks_completed += 1
+                        suspects.discard(task.chunk_id)
                     else:
                         pending.appendleft(task)
+                        if not blamed:
+                            suspects.add(task.chunk_id)
                 in_flight.clear()
                 consecutive_respawns += 1
-                if consecutive_respawns > self._max_retries:
+                if not blamed:
+                    unblamed_respawns += 1
+                if unblamed_respawns > self._max_retries:
                     # The pool cannot be kept alive at all (e.g. every
                     # initializer dies): drain everything to the last rung.
                     self._close_pool()

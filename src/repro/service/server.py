@@ -111,8 +111,10 @@ class ServiceConfig:
         Budget applied to requests that do not send ``deadline_ms``;
         ``None`` leaves them unbounded.
     client_timeout_seconds:
-        Reading a request (headers + body) longer than this answers 408 —
-        the slow-client guard.
+        Reading a request (headers + body) longer than this, counted from
+        its first byte, answers 408 — the slow-client guard.  A connection
+        that sends no byte of a next request for this long is closed
+        without a response (idle keep-alive).
     drain_timeout_seconds:
         How long :meth:`ITSPQService.aclose` waits for in-flight handlers
         after the batch queue empties.
@@ -353,9 +355,20 @@ class ITSPQService:
         self._active_handlers += 1
         try:
             while True:
+                # An idle keep-alive connection is closed without a word: a
+                # 408 nobody asked for would be read by a pooling client as
+                # the answer to its next request.
+                try:
+                    first = await asyncio.wait_for(
+                        reader.read(1), timeout=self._config.client_timeout_seconds
+                    )
+                except (asyncio.TimeoutError, ConnectionError):
+                    return
+                if not first:
+                    return  # clean EOF between requests (keep-alive close)
                 try:
                     request = await asyncio.wait_for(
-                        self._read_request(reader),
+                        self._read_request(reader, first),
                         timeout=self._config.client_timeout_seconds,
                     )
                 except asyncio.TimeoutError:
@@ -370,8 +383,6 @@ class ITSPQService:
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return  # disconnect or garbage framing: nothing to answer
-                if request is None:
-                    return  # clean EOF between requests (keep-alive close)
                 http_method, path, body = request
                 keep_alive = await self._dispatch(writer, http_method, path, body)
                 if not keep_alive:
@@ -385,14 +396,10 @@ class ITSPQService:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF
-            raise
+        self, reader: asyncio.StreamReader, first: bytes
+    ) -> Tuple[str, str, bytes]:
+        """The rest of a request whose ``first`` byte has arrived."""
+        head = first + await reader.readuntil(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) < 3:

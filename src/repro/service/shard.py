@@ -144,7 +144,9 @@ class ShardRouterConfig:
         Proxied requests in flight to one shard at once; excess sheds with
         a typed ``429`` at the router, before the shard sees any bytes.
     client_timeout_seconds:
-        Reading a client request longer than this answers ``408``.
+        Reading a client request longer than this, counted from its first
+        byte, answers ``408``; a connection idle this long between requests
+        is closed without a response.
     shard_request_timeout_seconds:
         A proxied request unanswered by its shard within this answers
         ``504`` and the connection is discarded (never pooled again).
@@ -675,9 +677,19 @@ class ShardRouter:
         self._active_handlers += 1
         try:
             while True:
+                # An idle keep-alive connection is closed without a word (see
+                # ITSPQService._handle_client).
+                try:
+                    first = await asyncio.wait_for(
+                        reader.read(1), timeout=self._config.client_timeout_seconds
+                    )
+                except (asyncio.TimeoutError, ConnectionError):
+                    return
+                if not first:
+                    return
                 try:
                     request = await asyncio.wait_for(
-                        self._read_request(reader),
+                        self._read_request(reader, first),
                         timeout=self._config.client_timeout_seconds,
                     )
                 except asyncio.TimeoutError:
@@ -692,8 +704,6 @@ class ShardRouter:
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return
-                if request is None:
-                    return
                 http_method, path, body = request
                 keep_alive = await self._dispatch(writer, http_method, path, body)
                 if not keep_alive:
@@ -707,14 +717,10 @@ class ShardRouter:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
+        self, reader: asyncio.StreamReader, first: bytes
+    ) -> Tuple[str, str, bytes]:
+        """The rest of a request whose ``first`` byte has arrived."""
+        head = first + await reader.readuntil(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) < 3:

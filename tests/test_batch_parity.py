@@ -6,9 +6,9 @@ flag, path (door sequence, per-hop distances and arrival times), length and
 sequential ``ITSPQEngine.run`` produces for the same query, across all four
 TV-check methods, multiple venues and adversarial query mixes (duplicate
 queries, shared sources, shared query times, unreachable targets, private
-target partitions, same-partition direct paths).  The sequential engine is
-the oracle; ``tests/test_compiled_parity.py`` anchors it to the reference
-search in turn.
+target partitions, same-partition direct paths).  The oracle is the
+reference engine (``compiled=False``), not the compiled kernel the executor
+shares with ``engine.run``.
 """
 
 import pytest
@@ -35,7 +35,7 @@ def assert_batch_parity(itgraph, queries, methods=METHODS):
     starts identically).
     """
     for method in methods:
-        oracle = ITSPQEngine(itgraph)
+        oracle = ITSPQEngine(itgraph, compiled=False)
         batch_engine = ITSPQEngine(itgraph)
         expected = [oracle.run(query, method=method) for query in queries]
         actual = batch_engine.run_batch(queries, method=method)
@@ -226,7 +226,7 @@ class TestSequentialFallbacks:
         ]
         for method in METHODS:
             engine = ITSPQEngine(example_itgraph)
-            expected = [ITSPQEngine(example_itgraph).run(q, method=method) for q in queries]
+            expected = [ITSPQEngine(example_itgraph, compiled=False).run(q, method=method) for q in queries]
             actual = engine.run_batch(queries, method=method, batch=False)
             for reference_result, batch_result in zip(expected, actual):
                 assert_parity(reference_result, batch_result)
@@ -292,7 +292,7 @@ class TestExecutorDirectUse:
             for b in names
             if a != b
         ]
-        oracle = ITSPQEngine(example_itgraph)
+        oracle = ITSPQEngine(example_itgraph, compiled=False)
         expected = [oracle.run(q, method="synchronous") for q in queries]
         for reference_result, batch_result in zip(
             expected, executor.run_batch(queries, "synchronous")
@@ -336,7 +336,7 @@ class TestHypothesisBatchParity:
         ]
         if duplicate_tail:
             queries += queries[: len(queries) // 2 + 1]
-        oracle = ITSPQEngine(itgraph)
+        oracle = ITSPQEngine(itgraph, compiled=False)
         batch_engine = ITSPQEngine(itgraph)
         expected = [oracle.run(q, method=method) for q in queries]
         actual = batch_engine.run_batch(queries, method=method)

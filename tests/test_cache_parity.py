@@ -3,9 +3,8 @@
 The :class:`~repro.core.cache.SPTreeCache` answers repeat queries from a
 recorded shortest-path tree instead of a fresh Dijkstra.  The contract under
 test: a cached answer — found flag, path, length and **every**
-:class:`~repro.core.query.SearchStatistics` counter — equals the uncached
-compiled answer (itself parity-locked to the reference engine by
-``test_compiled_parity.py``), across all four TV-check methods, on both
+:class:`~repro.core.query.SearchStatistics` counter — equals the reference
+engine's answer (``compiled=False``), across all four TV-check methods, on both
 standard venues, cold and warm, through the single-query engine seam, the
 batch executor and the parallel workers.  Alongside parity: admission
 (promote vs eager), LRU eviction under a small capacity, generation-stamped
@@ -42,7 +41,7 @@ def all_pairs_queries(points, times):
 def assert_cached_parity(itgraph, queries, cache_config, methods=METHODS, rounds=2):
     """Cached engine + batch answers equal uncached compiled answers,
     repeated ``rounds`` times so both the build path and the hit path run."""
-    oracle = ITSPQEngine(itgraph)
+    oracle = ITSPQEngine(itgraph, compiled=False)
     cached_engine = ITSPQEngine(itgraph, cache=cache_config)
     for method in methods:
         expected = [oracle.run(query, method=method) for query in queries]
@@ -132,7 +131,7 @@ class TestCachedAnswerParity:
         assert_cached_parity(itgraph, queries, CacheConfig(mode="eager"))
 
     def test_parallel_workers_with_caches(self, example_itgraph, example_queries):
-        oracle = ITSPQEngine(example_itgraph)
+        oracle = ITSPQEngine(example_itgraph, compiled=False)
         expected = [oracle.run(query, method="synchronous") for query in example_queries]
         with ITSPQEngine(example_itgraph, cache=CacheConfig(mode="eager")) as engine:
             results = engine.run_batch(example_queries * 6, method="synchronous", workers=2)
@@ -187,7 +186,7 @@ class TestIntervalTimeBuckets:
         ]
         plan = executor.planner.plan(queries, "query-time")
         assert len(plan) == 1 and plan[0].size == 2
-        oracle = ITSPQEngine(example_itgraph)
+        oracle = ITSPQEngine(example_itgraph, compiled=False)
         for reference, result in zip(
             [oracle.run(query, method="query-time") for query in queries],
             executor.run_batch(queries, "query-time"),
@@ -216,7 +215,7 @@ class TestEvictionAndInvalidation:
 
     def test_generation_bump_invalidates_every_entry(self, example_itgraph, example_queries):
         engine = ITSPQEngine(example_itgraph, cache=CacheConfig(mode="eager"))
-        oracle = ITSPQEngine(example_itgraph)
+        oracle = ITSPQEngine(example_itgraph, compiled=False)
         expected = [oracle.run(query, method="synchronous") for query in example_queries]
         for reference, query in zip(expected, example_queries):
             assert_parity(reference, engine.run(query, method="synchronous"))
@@ -261,7 +260,7 @@ class TestAdmission:
         engine = ITSPQEngine(example_itgraph, cache=True)  # promote defaults
         built = engine.warm_cache(example_queries, method="synchronous")
         assert built > 0
-        oracle = ITSPQEngine(example_itgraph)
+        oracle = ITSPQEngine(example_itgraph, compiled=False)
         for query in example_queries:
             assert_parity(
                 oracle.run(query, method="synchronous"),
@@ -320,7 +319,7 @@ class TestOverlayPruning:
         # pruned answer must agree with the oracle on found/length (the
         # counters of a pruned answer are approximate by design).
         itgraph, points = build_two_room_venue({"d1": [("8:00", "9:00")]})
-        oracle = ITSPQEngine(itgraph)
+        oracle = ITSPQEngine(itgraph, compiled=False)
         engine = ITSPQEngine(
             itgraph,
             cache=CacheConfig(mode="eager", precompute=True, prune_unreachable=True),

@@ -15,15 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiled import (
-    CompiledAsyncCheck,
-    CompiledITGraph,
-    CompiledQueryTimeCheck,
-    CompiledStaticCheck,
-    CompiledSyncCheck,
-    make_compiled_check,
-)
+from repro.constants import WALKING_SPEED_MPS
+from repro.core.batch import BatchPlanner
+from repro.core.compiled import COMPILED_KINDS, CompiledITGraph
 from repro.core.engine import ITSPQEngine
+from repro.core.query import SearchStatistics
+from repro.core.semantics import NO_WAIT, derive_counters, make_edge_probe
 from repro.core.tvcheck import make_strategy
 from repro.datasets.simple_venues import build_corridor_venue, build_two_room_venue
 from repro.exceptions import QueryError, UnknownEntityError
@@ -244,43 +241,60 @@ class TestCompiledStructures:
 
 
 class TestCompiledCheckClasses:
-    """The standalone seconds-based check classes mirror the strategies."""
+    """The compiled tiers' no-wait probe kernel answers every TV-check like
+    the reference strategy, counters included."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_checks_agree_with_strategies(self, example_itgraph, method):
         compiled = example_itgraph.compiled()
-        engine = ITSPQEngine(example_itgraph)
-        engine.ensure_compiled()
-        checker = make_compiled_check(
-            method, compiled, compiled.interval_bitsets.store(), engine._walking_speed
-        )
+        store = compiled.interval_bitsets.store()
+        kind, _label = COMPILED_KINDS[method]
         strategy = make_strategy(method, example_itgraph)
         for query_time in ("5:00", "12:00", "15:55", "22:30"):
             t = TimeOfDay(query_time)
-            checker.begin(t.seconds)
+            probe, counters = make_edge_probe(
+                NO_WAIT,
+                kind,
+                compiled.ati_bounds,
+                t.seconds,
+                WALKING_SPEED_MPS,
+                interval_at=store.interval_at if kind == 1 else None,
+            )
             strategy.begin_query(t)
+            probes = 0
             for door_id, index in compiled.door_index.items():
                 for distance in (0.0, 40.0, 400.0, 4000.0):
-                    assert bool(checker.passable(index, distance)) == strategy.is_passable(
+                    probes += 1
+                    assert (probe(index, distance) is not None) == strategy.is_passable(
                         door_id, distance, t
                     ), (method, query_time, door_id, distance)
-            assert checker.counters() == strategy.counters()
+            stats = SearchStatistics(
+                relaxations=probes,
+                ati_probes=counters[0],
+                snapshot_refreshes=counters[1],
+                membership_checks=counters[2],
+            )
+            derive_counters(NO_WAIT, kind, stats)
+            assert {
+                "ati_probes": stats.ati_probes,
+                "snapshot_refreshes": stats.snapshot_refreshes,
+                "membership_checks": stats.membership_checks,
+            } == strategy.counters()
 
     def test_factory_labels_and_rejection(self, example_itgraph):
-        compiled = example_itgraph.compiled()
-        store = compiled.interval_bitsets.store()
         labels = {
-            CompiledSyncCheck: "ITG/S",
-            CompiledAsyncCheck: "ITG/A",
-            CompiledStaticCheck: "static",
-            CompiledQueryTimeCheck: "query-time-snapshot",
+            "synchronous": "ITG/S",
+            "asynchronous": "ITG/A",
+            "static": "static",
+            "query-time": "query-time-snapshot",
         }
-        for method, cls in zip(METHODS, labels):
-            checker = make_compiled_check(method, compiled, store, 1.0)
-            assert isinstance(checker, cls)
-            assert checker.method_label == labels[cls]
+        assert set(COMPILED_KINDS) == set(METHODS)
+        assert sorted(kind for kind, _label in COMPILED_KINDS.values()) == [0, 1, 2, 3]
+        for method in METHODS:
+            assert COMPILED_KINDS[method][1] == labels[method]
+            assert make_strategy(method, example_itgraph).method_label == labels[method]
         with pytest.raises(ValueError):
-            make_compiled_check("teleport", compiled, store, 1.0)
+            BatchPlanner(example_itgraph.compiled()).plan([], "teleport")
 
 
 class TestDispatchModes:

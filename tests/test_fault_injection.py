@@ -7,8 +7,8 @@ mid-chunk, injected exceptions, chunks delayed past their timeout, payloads
 corrupted at rehydration, initializers that refuse to come up — and then
 asserts the two halves of the fault-tolerance contract:
 
-1. **Parity**: the merged results are bit-identical to the sequential
-   oracle (paths, lengths, every statistics counter) no matter which rung
+1. **Parity**: the merged results are bit-identical to the reference
+   engine (paths, lengths, every statistics counter) no matter which rung
    of the ladder — pool, retry on a respawned pool, in-process fallback —
    ultimately answered each chunk.
 2. **Observability**: the run's :class:`~repro.core.parallel.ExecutionReport`
@@ -63,9 +63,9 @@ def chaos_workload(example_points, times=("6:30", "9:00", "12:00", "15:55")):
 
 @pytest.fixture(scope="module")
 def oracle_results(example_itgraph, example_points):
-    """Sequential oracle answers for the chaos workload (computed once)."""
+    """Reference-engine answers for the chaos workload (computed once)."""
     queries = chaos_workload(example_points)
-    oracle = ITSPQEngine(example_itgraph)
+    oracle = ITSPQEngine(example_itgraph, compiled=False)
     return queries, [oracle.run(query, method="synchronous") for query in queries]
 
 

@@ -5,8 +5,8 @@ pool of worker processes; every merged result — found flag, path, length
 and all :class:`~repro.core.query.SearchStatistics` counters — must be
 bit-identical to sequential ``engine.run`` calls for the same queries, in
 the same input order, across all four TV-check methods, and identically on
-every rerun regardless of how chunks get scheduled.  The sequential engine
-is the oracle; ``tests/test_batch_parity.py`` anchors it in turn.
+every rerun regardless of how chunks get scheduled.  The oracle is the
+reference engine (``compiled=False``).
 """
 
 import pytest
@@ -49,7 +49,7 @@ class TestExampleVenueParallelParity:
     def test_all_methods_bit_identical(self, parallel_engine, example_itgraph, example_points):
         queries = example_workload(example_points, ["6:30", "9:00", "12:00", "15:55", "23:30"])
         for method in METHODS:
-            oracle = ITSPQEngine(example_itgraph)
+            oracle = ITSPQEngine(example_itgraph, compiled=False)
             expected = [oracle.run(query, method=method) for query in queries]
             actual = parallel_engine.run_batch(queries, method=method, workers=2)
             assert len(actual) == len(expected)
@@ -107,7 +107,7 @@ class TestPrivateAndScheduleMixes:
         engine = ITSPQEngine(itgraph)
         try:
             for method in METHODS:
-                oracle = ITSPQEngine(itgraph)
+                oracle = ITSPQEngine(itgraph, compiled=False)
                 expected = [oracle.run(query, method=method) for query in queries]
                 actual = engine.run_batch(queries, method=method, workers=2)
                 for reference_result, parallel_result in zip(expected, actual):
@@ -120,7 +120,7 @@ class TestExecutorMechanics:
     def test_single_worker_stays_in_process(self, example_itgraph, example_points):
         executor = ParallelBatchExecutor(example_itgraph.compiled(), workers=1)
         queries = example_workload(example_points, ["12:00"])
-        oracle = ITSPQEngine(example_itgraph)
+        oracle = ITSPQEngine(example_itgraph, compiled=False)
         expected = [oracle.run(query, method="synchronous") for query in queries]
         actual = executor.run_batch(queries, "synchronous")
         for reference_result, parallel_result in zip(expected, actual):

@@ -31,7 +31,6 @@ from repro.core.query import ITSPQuery, SearchStatistics
 from repro.core.semantics import (
     NO_WAIT,
     LatestDeparture,
-    NoWait,
     TimeWindow,
     WaitTolerant,
     canonical_semantics,
@@ -40,6 +39,7 @@ from repro.core.semantics import (
 from repro.core.tvcheck import make_strategy
 from repro.datasets.simple_venues import build_corridor_venue, build_two_room_venue
 from repro.exceptions import QueryError
+from repro.geometry.point import IndoorPoint
 from repro.temporal.timeofday import TimeOfDay
 
 SEMANTICS = (
@@ -125,7 +125,7 @@ class TestCrossTierParity:
 
     def test_cache_replay_vs_fresh_search(self, semantics):
         itgraph, queries = corridor_workload(semantics)
-        oracle = ITSPQEngine(itgraph, compiled=True)
+        oracle = ITSPQEngine(itgraph, compiled=False)
         cached = ITSPQEngine(itgraph, cache=CacheConfig(mode="eager"))
         expected = [oracle.run(query) for query in queries]
         for round_index in range(2):  # round 1 records trees, round 2 replays
@@ -479,6 +479,22 @@ class TestPartitionOnceCompiled:
             (example_points[a], example_points[b]) for a in names for b in names if a != b
         ]
         self.sweep(example_itgraph, pairs, ["9:00", "17:30", "23:30"])
+
+    def test_two_floor_mall(self, tiny_mall_itgraph):
+        # Three partition centres per floor, so half the pairs climb stairs.
+        points = {0: [], 1: []}
+        for partition in tiny_mall_itgraph.space.iter_partitions():
+            record = tiny_mall_itgraph.partition_record(partition.partition_id)
+            if record.is_outdoor or partition.polygon is None or partition.floor not in points:
+                continue
+            center = partition.polygon.bounding_box.center
+            candidate = IndoorPoint(center.x, center.y, partition.floor)
+            if partition.contains_point(candidate) and len(points[partition.floor]) < 3:
+                points[partition.floor].append(candidate)
+        chosen = points[0] + points[1]
+        assert len(chosen) == 6
+        pairs = [(a, b) for a in chosen for b in chosen if a is not b]
+        self.sweep(tiny_mall_itgraph, pairs, ["6:30", "12:00", "21:45"])
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -17,6 +17,7 @@ The faults (all deterministic, no timing races):
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.service.degradation import (
 )
 from repro.testing import FlakyRung, drip_feed_request, flood_requests, sigkill_mid_request_plan
 
-from tests._service_http import assert_matches_oracle, get, post_query, query_body
+from tests._service_http import assert_matches_oracle, get, post_query, query_body, raw_request
 from tests.test_deadline import FakeClock
 
 
@@ -291,5 +292,36 @@ class TestSlowClient:
             assert service.metrics.client_timeouts == 1
             status, _ = await get(service.host, service.port, "/readyz")
             assert status == 200
+
+        run_service_test(service, body)
+
+    def test_idle_keep_alive_closes_without_a_response(self, example_itgraph, example_points, oracle):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        engine = ITSPQEngine(example_itgraph)
+        service = ITSPQService(
+            {"example": engine},
+            ServiceConfig(batch_window_ms=0.0, client_timeout_seconds=0.2),
+        )
+
+        async def body(service):
+            reader, writer = await asyncio.open_connection(service.host, service.port)
+            try:
+                status, payload = await raw_request(
+                    service.host,
+                    service.port,
+                    "POST",
+                    "/query",
+                    json.dumps(query_body(p3, p4)).encode("utf-8"),
+                    reader=reader,
+                    writer=writer,
+                )
+                assert status == 200
+                assert_matches_oracle(payload, oracle)
+                # Idle past the timeout: the server closes the connection
+                # without writing a byte (no unsolicited 408).
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            finally:
+                writer.close()
+            assert service.metrics.client_timeouts == 0
 
         run_service_test(service, body)

@@ -205,6 +205,28 @@ class TestRoutingParity:
         run_router_test(two_shard_router(payload_files), body)
 
 
+class TestIdleKeepAlive:
+    def test_query_after_a_pooled_shard_connection_idled_out(
+        self, payload_files, oracle_engine, example_points
+    ):
+        source, target = example_points["p3"], example_points["p4"]
+        oracle = oracle_engine.query(source, target, "9:00")
+        document = query_body(source, target, "9:00", venue="a")
+
+        async def body(router):
+            status, payload = await post_query(router.host, router.port, document)
+            assert status == 200, payload
+            # The router pooled its connection to shard-0.  Idle past the
+            # shard's shipped 5 s client timeout: the shard closes it, and
+            # the next query must not read anything stale from it.
+            await asyncio.sleep(6.0)
+            status, payload = await post_query(router.host, router.port, document)
+            assert status == 200, payload
+            assert_matches_oracle(payload, oracle)
+
+        run_router_test(two_shard_router(payload_files), body)
+
+
 class TestMetricsAggregation:
     def test_router_metrics_are_consistent_with_shard_scrapes(
         self, payload_files, example_points
