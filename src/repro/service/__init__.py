@@ -3,8 +3,9 @@
 The serving layer the ROADMAP's north star calls for: one asyncio process
 owns one or more compiled venues (engines built normally or rehydrated from
 :mod:`repro.io.compiled_codec` payloads), collects incoming single queries
-into short time-windowed micro-batches for the
-:class:`~repro.core.batch.BatchPlanner`, and wraps the whole request path in
+into micro-batches for the :class:`~repro.core.batch.BatchPlanner` (a query
+flushes at once when its venue is idle and queues only behind work in
+flight), and wraps the whole request path in
 robustness machinery:
 
 * **cooperative deadlines** — every admitted request may carry a

@@ -158,7 +158,13 @@ def make_parser() -> argparse.ArgumentParser:
         default="promote",
         help="SP-tree cache mode (an enabled cache adds the cache-replay rung)",
     )
-    parser.add_argument("--window-ms", type=float, default=5.0, help="micro-batch window")
+    parser.add_argument(
+        "--window-ms",
+        type=float,
+        default=5.0,
+        help="how long a query that arrives behind a batch in flight for its venue and "
+        "method waits for company (a query for an idle venue and method flushes at once)",
+    )
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--max-pending", type=int, default=64)
     parser.add_argument("--max-inflight", type=int, default=4)

@@ -14,6 +14,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, Optional
 
+#: Why a micro-batch left its buffer: its key was idle (next loop tick), the
+#: window of a buffer behind a busy key expired, the buffer reached
+#: ``max_batch``, or the service is draining.
+FLUSH_TRIGGERS = ("idle", "window", "size", "drain")
+
 
 class ServiceMetrics:
     """Counters + a bounded latency reservoir (single event-loop use)."""
@@ -30,6 +35,7 @@ class ServiceMetrics:
         self.unavailable = 0  # 503s: draining / not ready
         self.internal_errors = 0  # 500s
         self.batches = 0
+        self.flushes: Dict[str, int] = dict.fromkeys(FLUSH_TRIGGERS, 0)
         self.answered_by_rung: Dict[str, int] = {}
         self._latencies: Deque[float] = deque(maxlen=reservoir_size)
 
@@ -49,6 +55,11 @@ class ServiceMetrics:
             self.unavailable += 1
         else:
             self.internal_errors += 1
+
+    def observe_flush(self, trigger: str) -> None:
+        """Count one micro-batch flushed by ``trigger`` (a :data:`FLUSH_TRIGGERS` name)."""
+        self.batches += 1
+        self.flushes[trigger] += 1
 
     def observe_rung(self, rung: str, count: int = 1) -> None:
         """Count ``count`` queries answered on ``rung``."""
@@ -80,6 +91,7 @@ class ServiceMetrics:
             "unavailable": self.unavailable,
             "internal_errors": self.internal_errors,
             "batches": self.batches,
+            "flushes": dict(self.flushes),
             "answered_by_rung": dict(self.answered_by_rung),
             "latency_samples": len(self._latencies),
             "latency_p50_seconds": self.percentile(0.50),
@@ -91,11 +103,11 @@ def aggregate_request_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[
     """The cross-shard ``aggregate`` section of a router's ``/metrics``.
 
     ``snapshots`` are the per-shard ``requests`` sections (the shape
-    :meth:`ServiceMetrics.snapshot` emits).  Counters sum; the per-rung
-    split merges by summation; ``latency_samples`` sums.  Percentiles do
-    **not** compose across processes (a p99 of p99s is not the deployment's
-    p99), so the aggregate reports the *worst shard's* p50/p99 — the
-    conservative number an operator should alert on — and keeps the exact
+    :meth:`ServiceMetrics.snapshot` emits).  Counters sum; the per-rung and
+    per-flush-trigger splits merge by summation; ``latency_samples`` sums.
+    Percentiles do **not** compose across processes (a p99 of p99s is not the
+    deployment's p99), so the aggregate reports the *worst shard's* p50/p99 —
+    the conservative number an operator should alert on — and keeps the exact
     per-shard values available next to it in the ``shards`` section.
 
     ``shards_reporting`` counts the snapshots that actually contributed:
@@ -116,6 +128,7 @@ def aggregate_request_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[
         "latency_samples": 0,
     }
     answered_by_rung: Dict[str, int] = {}
+    flushes: Dict[str, int] = dict.fromkeys(FLUSH_TRIGGERS, 0)
     worst: Dict[str, Optional[float]] = {
         "latency_p50_seconds": None,
         "latency_p99_seconds": None,
@@ -131,12 +144,19 @@ def aggregate_request_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[
         if isinstance(rungs, dict):
             for rung, count in rungs.items():
                 answered_by_rung[rung] = answered_by_rung.get(rung, 0) + int(count)
+        triggers = snapshot.get("flushes")
+        if isinstance(triggers, dict):
+            for trigger in flushes:
+                count = triggers.get(trigger)
+                if isinstance(count, (int, float)):
+                    flushes[trigger] += int(count)
         for field in worst:
             value = snapshot.get(field)
             if isinstance(value, (int, float)) and (worst[field] is None or value > worst[field]):
                 worst[field] = float(value)
     return {
         **summed,
+        "flushes": flushes,
         "answered_by_rung": answered_by_rung,
         **worst,
         "shards_reporting": reporting,

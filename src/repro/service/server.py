@@ -20,9 +20,17 @@ dependency-free, like the rest of the repository:
 
 Request path
 ------------
-Admitted queries are buffered per ``(venue, method)`` for at most
-``batch_window_ms`` (or until ``max_batch`` members arrive), then flushed as
-one micro-batch through the :class:`~repro.service.degradation.DegradationLadder`:
+Admitted queries are buffered per ``(venue, method)`` and flushed as one
+micro-batch by an adaptive rule.  A query for an *idle* key (nothing of that
+key in flight) flushes on the next loop tick, together with whatever arrived
+in the same tick; a query for a *busy* key opens a buffer that collects
+company for ``batch_window_ms`` and flushes then, or as soon as
+``max_batch`` members have arrived.  So batches form only under load, and a
+lone query never waits for company.  The busy buffer deliberately does not
+leave when the batch ahead of it completes: under saturation that would
+turn batching into one-query ping-pong whose rate follows the host's CPU
+speed, where the window makes batches of company at a steady rate.
+Each flush runs through the :class:`~repro.service.degradation.DegradationLadder`:
 the batch runs on the highest healthy rung — parallel pool, in-process
 batch, sequential compiled, cache-replay — descending on rung failure, with
 outcomes scored into the rungs' circuit breakers.  Engines are synchronous
@@ -89,6 +97,25 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: The fields every ``/query`` body must carry.
+QUERY_FIELDS = ("source", "target", "time")
+
+
+def parse_query_document(body: bytes) -> Dict[str, Any]:
+    """The JSON object of a ``/query`` body, checked for its required
+    fields.  Every defect raises ``ValueError`` (``json.JSONDecodeError`` for
+    text that is not JSON), which the server and the router answer 400."""
+    try:
+        document = json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("the query body nests too deeply") from None
+    if not isinstance(document, dict):
+        raise ValueError("the query body must be a JSON object")
+    for name in QUERY_FIELDS:
+        if name not in document:
+            raise ValueError(f"the query body lacks the required field {name!r}")
+    return document
+
 
 @dataclass
 class ServiceConfig:
@@ -101,8 +128,10 @@ class ServiceConfig:
         Bind address; ``port=0`` picks a free port (read it back from
         ``service.port`` after :meth:`ITSPQService.start`).
     batch_window_ms:
-        How long the first query of a micro-batch waits for company before
-        the batch flushes (``0`` flushes on the next loop tick).
+        How long a query waits for company when it arrives while its
+        ``(venue, method)`` has a batch in flight (``max_batch`` members
+        flush it sooner).  A query for an idle key flushes on the next loop
+        tick whatever this is.
     max_batch:
         Flush immediately once a buffer holds this many queries.
     max_pending / max_inflight_batches:
@@ -239,6 +268,9 @@ class ITSPQService:
         self._metrics = ServiceMetrics()
         self._buffers: Dict[Tuple[str, str], List[_Member]] = {}
         self._flush_handles: Dict[Tuple[str, str], asyncio.TimerHandle] = {}
+        #: Flushed, not yet finished batches per ``(venue, method)``; a key
+        #: is busy while it has an entry here.
+        self._inflight: Dict[Tuple[str, str], int] = {}
         self._batch_tasks: "set[asyncio.Task]" = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._started = False
@@ -332,7 +364,7 @@ class ITSPQService:
             return
         self._draining = True
         for key in list(self._buffers):
-            self._flush(key)
+            self._flush(key, "drain")
         while self._batch_tasks:
             await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
         deadline = time.monotonic() + self._config.drain_timeout_seconds
@@ -529,9 +561,7 @@ class ITSPQService:
     def _parse_query(
         self, body: bytes
     ) -> Tuple[str, str, ITSPQuery, Optional[SearchDeadline]]:
-        document = json.loads(body.decode("utf-8"))
-        if not isinstance(document, dict):
-            raise ValueError("the query body must be a JSON object")
+        document = parse_query_document(body)
         if "venue" in document:
             venue = str(document["venue"])
             if venue not in self._engines:
@@ -591,27 +621,40 @@ class ITSPQService:
         buffer = self._buffers.get(key)
         if buffer is None:
             buffer = self._buffers[key] = []
-            self._flush_handles[key] = loop.call_later(
-                self._config.batch_window_ms / 1000.0, self._flush, key
-            )
+            if key in self._inflight:
+                delay, trigger = self._config.batch_window_ms / 1000.0, "window"
+            else:
+                delay, trigger = 0.0, "idle"
+            self._flush_handles[key] = loop.call_later(delay, self._flush, key, trigger)
         buffer.append(member)
         if len(buffer) >= self._config.max_batch:
-            self._flush(key)
+            self._flush(key, "size")
         return await member.future
 
-    def _flush(self, key: Tuple[str, str]) -> None:
+    def _flush(self, key: Tuple[str, str], trigger: str) -> None:
+        """Start ``key``'s buffered queries as one batch; ``trigger`` names
+        the rule that fired (counted in ``/metrics``)."""
         members = self._buffers.pop(key, None)
         handle = self._flush_handles.pop(key, None)
         if handle is not None:
             handle.cancel()
         if not members:
             return
-        self._metrics.batches += 1
+        self._metrics.observe_flush(trigger)
+        self._inflight[key] = self._inflight.get(key, 0) + 1
         task = asyncio.get_running_loop().create_task(
             self._run_batch(key[0], key[1], members)
         )
         self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
+        task.add_done_callback(lambda done: self._batch_done(key, done))
+
+    def _batch_done(self, key: Tuple[str, str], task: asyncio.Task) -> None:
+        """A batch of ``key`` finished; a buffer behind it keeps its window."""
+        self._batch_tasks.discard(task)
+        if self._inflight[key] == 1:
+            del self._inflight[key]
+        else:
+            self._inflight[key] -= 1
 
     # -- rung execution --------------------------------------------------------
 

@@ -9,12 +9,12 @@ map**, spawns and supervises N worker processes (each an ordinary
 port), and proxies ``POST /query`` by venue:
 
 * **Routing.**  The router peeks at the request body only far enough to
-  resolve the venue, then forwards the body **verbatim** to the owning
-  shard over a pooled keep-alive connection and relays the shard's answer
-  byte for byte.  Everything the single-process service guarantees —
-  bit-identical answers, typed admission errors, ``deadline_ms`` carried in
-  the request body — therefore survives sharding by construction: the
-  router adds routing, never interpretation.
+  check its required fields and resolve the venue, then forwards the body
+  **verbatim** to the owning shard over a pooled keep-alive connection and
+  relays the shard's answer byte for byte.  Everything the single-process
+  service guarantees — bit-identical answers, typed admission errors,
+  ``deadline_ms`` carried in the request body — therefore survives sharding
+  by construction: the router adds routing, never interpretation.
 * **Isolation.**  Each shard has a bounded in-flight budget (excess sheds a
   typed ``429`` at the router, before any bytes reach a loaded shard) and
   its own failure domain: a dead shard answers ``503`` for *its* venues
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
+from repro.service.server import parse_query_document
 
 _REASONS = {
     200: "OK",
@@ -856,9 +857,7 @@ class ShardRouter:
 
     def _resolve_venue(self, body: bytes) -> str:
         """The venue a ``/query`` body routes to (raises ``ValueError``)."""
-        document = json.loads(body.decode("utf-8"))
-        if not isinstance(document, dict):
-            raise ValueError("the query body must be a JSON object")
+        document = parse_query_document(body)
         if "venue" in document:
             venue = str(document["venue"])
             if venue not in self._venue_to_shard:

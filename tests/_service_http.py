@@ -4,14 +4,17 @@ No third-party HTTP stack exists in the test environment (by design — the
 server itself is raw asyncio streams), so the tests speak the same minimal
 HTTP/1.1 dialect back at it.  Every helper opens a fresh connection unless
 handed an existing reader/writer pair, so keep-alive behaviour is exercised
-explicitly where a test cares about it.
+explicitly where a test cares about it.  :class:`BatchGate` and
+:func:`post_behind_held_batch` build a micro-batch of a test's choosing
+without relying on timing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+import threading
+from typing import Any, Dict, List, Optional, Tuple
 
 
 async def raw_request(
@@ -61,6 +64,59 @@ async def post_query(host: str, port: int, document: Dict[str, Any]) -> Tuple[in
 async def get(host: str, port: int, path: str) -> Tuple[int, Dict[str, Any]]:
     """GET ``path`` on a fresh connection."""
     return await raw_request(host, port, "GET", path)
+
+
+class BatchGate:
+    """A ``rung_fault_hook`` that, while closed, holds every batch on its
+    worker thread — so that a test can queue queries behind a batch in flight
+    instead of relying on loop-tick timing.  Open by default; thread-safe."""
+
+    def __init__(self):
+        self._open = threading.Event()
+        self._open.set()
+        self.holding = threading.Event()
+
+    def close(self) -> None:
+        self._open.clear()
+        self.holding.clear()
+
+    def open(self) -> None:
+        self._open.set()
+
+    def __call__(self, rung: str, venue: str) -> None:
+        if not self._open.is_set():
+            self.holding.set()
+            self._open.wait(timeout=30.0)
+
+
+async def post_behind_held_batch(
+    service, gate: BatchGate, blocker: Dict[str, Any], documents: List[Dict[str, Any]]
+) -> Tuple[Tuple[int, Dict[str, Any]], List[Tuple[int, Dict[str, Any]]]]:
+    """POST ``blocker`` and hold its batch at ``gate``; POST ``documents``
+    while it is held, so that they all queue behind it; then release the gate.
+
+    Returns the blocker's ``(status, payload)`` and the documents' in order.
+    ``documents`` leave as one follow-up batch when ``batch_window_ms``
+    expires, or at once when they number ``max_batch``."""
+    gate.close()
+    try:
+        first = asyncio.ensure_future(post_query(service.host, service.port, blocker))
+        assert await asyncio.to_thread(gate.holding.wait, 10.0), "the blocker batch never ran"
+        rest = [
+            asyncio.ensure_future(post_query(service.host, service.port, document))
+            for document in documents
+        ]
+        # Admission and buffering are one synchronous step, so once every
+        # request holds a pending slot, every one of them is queued.
+        for _ in range(1000):
+            if service.admission.pending == 1 + len(documents):
+                break
+            await asyncio.sleep(0.01)
+        else:
+            raise AssertionError(f"only {service.admission.pending} requests were admitted")
+    finally:
+        gate.open()
+    return await first, list(await asyncio.gather(*rest))
 
 
 def query_body(

@@ -15,7 +15,7 @@ overlay pruning.
 
 import pytest
 
-from test_compiled_parity import METHODS, assert_parity
+from test_compiled_parity import METHODS, assert_parity, build_late_door_venue
 
 from repro.core.batch import BatchExecutor
 from repro.core.cache import CachedTree, CacheConfig, SPTreeCache, TimeKeyResolver
@@ -121,6 +121,11 @@ class TestCachedAnswerParity:
             private_rooms=("room2",),
         )
         queries = all_pairs_queries(points, ["8:59", "9:00", "10:30", "21:59", "22:00"])
+        assert_cached_parity(itgraph, queries, CacheConfig(mode="eager"))
+
+    def test_target_first_pushed_at_the_occupancy_maximum(self):
+        itgraph, points = build_late_door_venue()
+        queries = all_pairs_queries(points, ["8:59", "9:00", "9:00:30", "12:00"])
         assert_cached_parity(itgraph, queries, CacheConfig(mode="eager"))
 
     def test_not_found_answers_are_cached_exactly(self):

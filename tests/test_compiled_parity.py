@@ -16,16 +16,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import WALKING_SPEED_MPS
-from repro.core.batch import BatchPlanner
+from repro.core.batch import BatchExecutor, BatchPlanner
 from repro.core.compiled import COMPILED_KINDS, CompiledITGraph
 from repro.core.engine import ITSPQEngine
-from repro.core.query import SearchStatistics
+from repro.core.query import ITSPQuery, SearchStatistics
 from repro.core.semantics import NO_WAIT, derive_counters, make_edge_probe
 from repro.core.tvcheck import make_strategy
 from repro.datasets.simple_venues import build_corridor_venue, build_two_room_venue
 from repro.exceptions import QueryError, UnknownEntityError
+from repro.core.itgraph import build_itgraph
 from repro.geometry.point import IndoorPoint
+from repro.indoor.builder import IndoorSpaceBuilder
 from repro.synthetic.queries import QueryWorkloadConfig, generate_query_instances
+from repro.temporal.schedule import DoorSchedule
 from repro.temporal.timeofday import TimeOfDay
 
 METHODS = ("synchronous", "asynchronous", "static", "query-time")
@@ -171,6 +174,79 @@ class TestHypothesisParity:
         ref = reference.query(points[source], points[target], query_time, method)
         cmp = fast.query(points[source], points[target], query_time, method)
         assert_parity(ref, cmp)
+
+
+def build_late_door_venue():
+    """A venue whose target is first pushed while the door occupancy of the
+    heap is at its running maximum, and settles before the next door push.
+
+    Layout (floor 0)::
+
+        +-------+---------------------+-------+
+        | start |                     |  far  |
+        |   s   |                     |   t   |
+        +---f---+       hallway       +---d---+
+        |                                     |
+        +---e---+-----------------------------+
+        | annex |
+        +-------+
+
+    From ``s`` at 9:00: ``f`` is pushed and settled, pushing ``d``; ``e``,
+    4 m past ``f``, is still closed (it opens at 9:00:20).  Settling ``d``
+    expands the hallway first, pushing ``e`` (now open, ~64 m out) so the
+    door occupancy is back at its maximum of 1, and then pushes the target,
+    2 m past ``d``: the heap peaks at 2.  The target then settles before any
+    other door push.
+
+    The search expands a door's partitions in ``frozenset`` order, which
+    varies with the string hash seed, so the far room takes the first of
+    a few names for which ``d`` leads into the hallway first.
+
+    Returns the IT-Graph and the points ``s`` and ``t``.
+    """
+    for attempt in range(64):
+        far = f"far{attempt}"
+        builder = IndoorSpaceBuilder("late-door-venue")
+        builder.add_rectangle_partition("hallway", 0, 0, 40, 4)
+        builder.add_rectangle_partition("start", 0, 4, 10, 12)
+        builder.add_rectangle_partition(far, 30, 4, 40, 12)
+        builder.add_rectangle_partition("annex", 0, -8, 10, 0)
+        builder.add_door("f", IndoorPoint(5, 4, 0), between=("start", "hallway"))
+        builder.add_door("d", IndoorPoint(35, 4, 0), between=("hallway", far))
+        builder.add_door("e", IndoorPoint(5, 0, 0), between=("hallway", "annex"))
+        space = builder.build()
+        if next(iter(space.topology.enterable_partitions("d"))) != "hallway":
+            continue
+        schedule = DoorSchedule.from_pairs({"e": [("9:00:20", "23:00")]})
+        points = {"s": IndoorPoint(5, 8, 0), "t": IndoorPoint(35, 6, 0)}
+        return build_itgraph(space, schedule), points
+    raise AssertionError("no far-room name puts the hallway first")
+
+
+class TestPeakAtRunningMaximum:
+    """The target's share of the peak heap size when it is first pushed at
+    the running maximum of the door occupancy (``occupancy + 1``, not
+    ``occupancy``) — a case no other venue here reaches."""
+
+    def test_the_venue_reaches_the_case(self):
+        itgraph, points = build_late_door_venue()
+        result = ITSPQEngine(itgraph, compiled=False).query(points["s"], points["t"], "9:00")
+        assert result.found and list(result.path.door_sequence) == ["f", "d"]
+        assert result.statistics.peak_heap_size == 2
+
+    def test_compiled_and_batch_match_the_reference(self):
+        itgraph, points = build_late_door_venue()
+        times = ["8:59", "9:00", "9:00:10", "9:00:30", "12:00"]
+        pairs = [(points["s"], points["t"]), (points["t"], points["s"])]
+        sweep_parity(itgraph, pairs, times)
+        reference = ITSPQEngine(itgraph, compiled=False)
+        batch = BatchExecutor(itgraph.compiled())
+        for method in METHODS:
+            queries = [
+                ITSPQuery(source, target, when) for source, target in pairs for when in times
+            ]
+            for query, result in zip(queries, batch.run_batch(queries, method)):
+                assert_parity(reference.run(query, method=method), result)
 
 
 class TestCompiledStructures:

@@ -20,8 +20,10 @@ from repro.core.engine import ITSPQEngine
 from repro.service import ITSPQService, ServiceConfig
 
 from tests._service_http import (
+    BatchGate,
     assert_matches_oracle,
     get,
+    post_behind_held_batch,
     post_query,
     query_body,
     raw_request,
@@ -109,7 +111,8 @@ class TestMicroBatching:
             )
             assert all(status == 200 for status, _ in outcomes)
             # 12 concurrent same-(venue, method) queries coalesced into
-            # fewer flushes than requests — the whole point of the window.
+            # fewer flushes than requests: those arriving while a batch
+            # runs queue behind it and leave together.
             assert 1 <= service.metrics.batches < len(bodies)
             assert service.metrics.answered == len(bodies)
 
@@ -117,20 +120,82 @@ class TestMicroBatching:
 
     def test_max_batch_flushes_early(self, example_itgraph, example_points):
         p3, p4 = example_points["p3"], example_points["p4"]
+        gate = BatchGate()
 
         async def body(service):
             started = time.perf_counter()
-            outcomes = await asyncio.gather(
-                *(post_query(service.host, service.port, query_body(p3, p4)) for _ in range(4))
+            # The four queue behind a held batch, where the window applies.
+            (status, _), outcomes = await post_behind_held_batch(
+                service, gate, query_body(p3, p4), [query_body(p3, p4) for _ in range(4)]
             )
             elapsed = time.perf_counter() - started
+            assert status == 200
             assert all(status == 200 for status, _ in outcomes)
             # The window is absurdly long; only the size trigger can have
             # flushed within the test budget.
             assert elapsed < 5.0
+            assert service.metrics.flushes["size"] == 1
 
         run_service_test(
-            example_service(example_itgraph, batch_window_ms=30_000.0, max_batch=4), body
+            example_service(
+                example_itgraph, batch_window_ms=30_000.0, max_batch=4, rung_fault_hook=gate
+            ),
+            body,
+        )
+
+    def test_lone_query_is_not_held_by_the_window(self, example_itgraph, example_points):
+        p3, p4 = example_points["p3"], example_points["p4"]
+
+        async def body(service):
+            started = time.perf_counter()
+            status, _ = await post_query(service.host, service.port, query_body(p3, p4))
+            assert status == 200
+            # Nothing was in flight, so the window never applied.
+            assert time.perf_counter() - started < 5.0
+            assert service.metrics.flushes["idle"] == 1
+
+        run_service_test(example_service(example_itgraph, batch_window_ms=30_000.0), body)
+
+    def test_queries_behind_a_batch_in_flight_share_one_batch(
+        self, example_itgraph, example_points
+    ):
+        # Queries that arrive behind a batch in flight wait out the window
+        # together, even though the batch ahead of them completes first.
+        points = example_points
+        pairs = [
+            (points["p1"], points["p2"]),
+            (points["p2"], points["p1"]),
+            (points["p3"], points["p4"]),
+            (points["p4"], points["p3"]),
+            (points["p1"], points["p4"]),
+        ]
+        oracle_engine = ITSPQEngine(example_itgraph)
+        oracles = [oracle_engine.query(source, target, "9:00") for source, target in pairs]
+        gate = BatchGate()
+
+        async def body(service):
+            (status, _), outcomes = await asyncio.wait_for(
+                post_behind_held_batch(
+                    service,
+                    gate,
+                    query_body(points["p3"], points["p4"]),
+                    [query_body(source, target) for source, target in pairs],
+                ),
+                timeout=30.0,
+            )
+            assert status == 200
+            for (status, payload), oracle in zip(outcomes, oracles):
+                assert status == 200
+                assert_matches_oracle(payload, oracle)
+            # The held batch, then everything that queued behind it as one
+            # batch released by the window.
+            assert service.metrics.batches == 2
+            assert service.metrics.flushes["idle"] == 1
+            assert service.metrics.flushes["window"] == 1
+
+        run_service_test(
+            example_service(example_itgraph, batch_window_ms=2_000.0, rung_fault_hook=gate),
+            body,
         )
 
 
@@ -215,6 +280,35 @@ class TestHttpSurface:
             )
             assert status == 400
             assert payload["type"] == "JSONDecodeError"
+
+        run_service_test(example_service(example_itgraph), body)
+
+    def test_deeply_nested_body_answers_400(self, example_itgraph, example_points):
+        async def body(service):
+            status, payload = await raw_request(
+                service.host, service.port, "POST", "/query", b"[" * 100_000
+            )
+            assert status == 400
+            assert payload["type"] == "ValueError"
+            assert "nests too deeply" in payload["error"]
+            # The connection was answered, not dropped, and the service serves on.
+            status, _ = await post_query(
+                service.host, service.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200
+
+        run_service_test(example_service(example_itgraph), body)
+
+    @pytest.mark.parametrize("field", ["source", "target", "time"])
+    def test_missing_field_answers_400_naming_it(self, example_itgraph, example_points, field):
+        document = query_body(example_points["p3"], example_points["p4"])
+        del document[field]
+
+        async def body(service):
+            status, payload = await post_query(service.host, service.port, document)
+            assert status == 400
+            assert payload["type"] == "ValueError"
+            assert repr(field) in payload["error"]
 
         run_service_test(example_service(example_itgraph), body)
 

@@ -32,7 +32,15 @@ from repro.service.degradation import (
 )
 from repro.testing import FlakyRung, drip_feed_request, flood_requests, sigkill_mid_request_plan
 
-from tests._service_http import assert_matches_oracle, get, post_query, query_body, raw_request
+from tests._service_http import (
+    BatchGate,
+    assert_matches_oracle,
+    get,
+    post_behind_held_batch,
+    post_query,
+    query_body,
+    raw_request,
+)
 from tests.test_deadline import FakeClock
 
 
@@ -60,14 +68,20 @@ class TestWorkerDeathMidRequest:
         p3, p4 = example_points["p3"], example_points["p4"]
         engine = ITSPQEngine(example_itgraph)
         oracle_afternoon = ITSPQEngine(example_itgraph).query(p4, p3, "14:00")
+        gate = BatchGate()
         service = ITSPQService(
             {"example": engine},
             ServiceConfig(
                 workers=2,
-                # Long window so the two concurrent queries share one
-                # micro-batch — a single-group plan would stay in-process
-                # and never exercise the pool.
-                batch_window_ms=100.0,
+                # The two queries must share one micro-batch: a single-group
+                # plan stays in-process and never exercises the pool.  They
+                # queue behind a held one-query batch, which stays in-process
+                # and leaves the fault plan to them, and leave together as
+                # soon as both are buffered (``max_batch``); the window is
+                # far longer than the test.
+                batch_window_ms=30_000.0,
+                max_batch=2,
+                rung_fault_hook=gate,
                 parallel_options={
                     "fault_plan": sigkill_mid_request_plan(),
                     "backoff_base": 0.0,
@@ -76,10 +90,15 @@ class TestWorkerDeathMidRequest:
         )
 
         async def body(service):
-            (status_a, payload_a), (status_b, payload_b) = await asyncio.gather(
-                post_query(service.host, service.port, query_body(p3, p4)),
-                post_query(service.host, service.port, query_body(p4, p3, time="14:00")),
+            (status, _), [(status_a, payload_a), (status_b, payload_b)] = (
+                await post_behind_held_batch(
+                    service,
+                    gate,
+                    query_body(p3, p4),
+                    [query_body(p3, p4), query_body(p4, p3, time="14:00")],
+                )
             )
+            assert status == 200
             assert status_a == 200 and status_b == 200
             assert payload_a["rung"] == RUNG_PARALLEL
             assert payload_b["rung"] == RUNG_PARALLEL

@@ -19,7 +19,13 @@ from repro.core.parallel import _close_live_executors
 from repro.service import ITSPQService, ServiceConfig
 from repro.service.degradation import RUNG_PARALLEL
 
-from tests._service_http import assert_matches_oracle, post_query, query_body
+from tests._service_http import (
+    BatchGate,
+    assert_matches_oracle,
+    post_behind_held_batch,
+    post_query,
+    query_body,
+)
 
 
 class TestDrain:
@@ -128,16 +134,27 @@ class TestAtexitGuard:
         engine = ITSPQEngine(example_itgraph)
         oracle_morning = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
         oracle_afternoon = ITSPQEngine(example_itgraph).query(p4, p3, "14:00")
+        gate = BatchGate()
         service = ITSPQService(
             {"example": engine},
-            ServiceConfig(workers=2, batch_window_ms=100.0),
+            ServiceConfig(
+                workers=2, batch_window_ms=30_000.0, max_batch=2, rung_fault_hook=gate
+            ),
         )
 
         async def both():
-            return await asyncio.gather(
-                post_query(service.host, service.port, query_body(p3, p4)),
-                post_query(service.host, service.port, query_body(p4, p3, time="14:00")),
+            # The pair must share one two-group batch to reach the pool: it
+            # queues behind a held one-query batch and leaves together as
+            # soon as both are buffered (``max_batch``; the window is far
+            # longer than the test).
+            (status, _), outcomes = await post_behind_held_batch(
+                service,
+                gate,
+                query_body(p3, p4),
+                [query_body(p3, p4), query_body(p4, p3, time="14:00")],
             )
+            assert status == 200
+            return outcomes
 
         async def scenario():
             await service.start()
@@ -146,8 +163,8 @@ class TestAtexitGuard:
                 assert status_b == 200 and payload_b["rung"] == RUNG_PARALLEL
             # The guard sweeps every live pool out from under the service...
             await asyncio.to_thread(_close_live_executors)
-            # ...and the very next parallel batch starts a fresh pool and
-            # answers bit-identically.
+            # ...and the next batch that reaches the pool starts a fresh one
+            # and answers bit-identically.
             (status_a, payload_a), (status_b, payload_b) = await both()
             assert status_a == 200 and payload_a["rung"] == RUNG_PARALLEL
             assert status_b == 200 and payload_b["rung"] == RUNG_PARALLEL

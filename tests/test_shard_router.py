@@ -205,6 +205,49 @@ class TestRoutingParity:
         run_router_test(two_shard_router(payload_files), body)
 
 
+class TestHostileBodies:
+    """Bodies the router must answer 400 itself, before any shard sees them."""
+
+    @staticmethod
+    def one_shard_router(payload_files) -> ShardRouter:
+        spec = ShardSpec("shard-0", (f"a={payload_files['a']}",))
+        return ShardRouter(
+            [spec],
+            ShardRouterConfig(worker_args=("--window-ms", "1"), startup_timeout_seconds=60.0),
+        )
+
+    def test_deeply_nested_body_answers_400(self, payload_files, example_points):
+        async def body(router):
+            status, payload = await raw_request(
+                router.host, router.port, "POST", "/query", b"[" * 100_000
+            )
+            assert status == 400
+            assert payload["type"] == "ValueError"
+            assert "nests too deeply" in payload["error"]
+            assert router.metrics.bad_requests == 1
+            # Answered, not dropped, and the router serves on.
+            status, payload = await post_query(
+                router.host, router.port, query_body(example_points["p3"], example_points["p4"])
+            )
+            assert status == 200, payload
+
+        run_router_test(self.one_shard_router(payload_files), body)
+
+    def test_missing_field_answers_400_naming_it(self, payload_files, example_points):
+        async def body(router):
+            for field in ("source", "target", "time"):
+                document = query_body(example_points["p3"], example_points["p4"])
+                del document[field]
+                status, payload = await post_query(router.host, router.port, document)
+                assert status == 400
+                assert payload["type"] == "ValueError"
+                assert repr(field) in payload["error"]
+            assert router.metrics.bad_requests == 3
+            assert router.metrics.routed == 0
+
+        run_router_test(self.one_shard_router(payload_files), body)
+
+
 class TestIdleKeepAlive:
     def test_query_after_a_pooled_shard_connection_idled_out(
         self, payload_files, oracle_engine, example_points
