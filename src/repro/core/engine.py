@@ -127,7 +127,7 @@ class ITSPQEngine:
         self._compiled_enabled = bool(compiled)
         # ``cache`` opts into the interval-keyed shortest-path-tree cache on
         # the compiled path: ``True`` enables the defaults, a CacheConfig
-        # tunes capacity/admission/precompute, ``None``/``False`` keeps every
+        # tunes capacity and admission, ``None``/``False`` keeps every
         # query on the fresh-search path (the default — caching is a
         # service-workload optimisation, not a correctness feature).
         self._cache_config = self._normalise_cache_option(cache)
@@ -236,8 +236,6 @@ class ITSPQEngine:
             self._compiled_graph = self._itgraph.compiled()
             self._compiled_store = self._compiled_graph.interval_bitsets.store()
         if self._cache_config is not None and self._cache is None:
-            if self._cache_config.precompute and self._compiled_graph.overlays is None:
-                self._compiled_graph.build_overlays()
             self._cache = SPTreeCache(
                 self._compiled_graph,
                 self._compiled_store,
@@ -396,15 +394,6 @@ class ITSPQEngine:
         except UnknownEntityError as exc:
             raise QueryError(f"query endpoint outside the indoor space: {exc}") from exc
         query_seconds = itsp_query.query_time.seconds
-        if isinstance(semantics, NoWait):
-            # The overlay-based unreachability pruning is proven only for the
-            # paper's semantics (waiting can cross a component boundary in
-            # time), so the other semantics always consult a tree.
-            pruned = cache.prune_result(
-                itsp_query, method_label, kind, source_pidx, target_pidx, query_seconds
-            )
-            if pruned is not None:
-                return pruned
         key, allowed = cache.plan_key(
             kind, anchor_point, query_seconds, source_pidx, target_pidx, semantics
         )

@@ -162,9 +162,7 @@ def _init_worker(
 
     ``cache_config`` (a picklable :class:`~repro.core.cache.CacheConfig`, or
     ``None``) gives each worker its own shortest-path-tree cache over the
-    rehydrated graph — including any precompute overlays that rode along in
-    the payload's ``precompute`` section; trees themselves never cross the
-    process boundary.
+    rehydrated graph; trees themselves never cross the process boundary.
     """
     global _WORKER_EXECUTOR, _WORKER_FAULT_PLAN
     from repro.io.compiled_codec import compiled_graph_from_bytes

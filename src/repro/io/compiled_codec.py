@@ -18,14 +18,15 @@ A versioned little-endian binary layout (version 3):
   logical block of the compiled graph (interned id tables, partition flags,
   dense ``DM`` matrices, flattened adjacency, ATI boundary arrays, open-door
   bitsets, door geometry, leaveable-door lists and the point-location
-  polygon rows — see :data:`SECTION_NAMES`), optionally followed by one
-  ``precompute`` section (:data:`OPTIONAL_SECTION_NAME`) holding the graph's
-  :class:`~repro.core.compiled.IntervalOverlays` — per-interval component
-  rows and landmark distance rows, present iff the graph carries overlays,
+  polygon rows — see :data:`SECTION_NAMES`),
 * a trailing CRC32 over everything before it (the whole-payload checksum).
 
-Version 3 differs from version 2 only in allowing the optional tenth
-section; version-2 payloads (always exactly nine sections) still load.
+Version 3 once allowed an optional tenth ``precompute`` section of
+per-interval overlays.  The overlays are retired: the writer always emits
+the nine sections, nine-section payloads of either version load, and a
+payload declaring ten sections is rejected with a
+:class:`~repro.exceptions.SerializationError` that names the retired
+section.
 
 All floats are IEEE-754 doubles written verbatim, so every distance,
 boundary instant and polygon vertex round-trips **exactly** — the
@@ -38,7 +39,11 @@ fails its checksums with :class:`~repro.exceptions.CorruptPayloadError`
 (naming the damaged section), so a worker process never rehydrates — let
 alone answers queries from — a silently damaged index
 (``tests/test_codec_integrity.py`` flips bytes in every section to prove
-it).
+it).  A checksum proves the bytes are unchanged, not that they are valid,
+so decoding also checks structure: every index is in range, every leg and
+ATI boundary is finite (boundaries non-decreasing), identifiers are UTF-8
+and polygons rebuild.  A CRC-valid but crafted payload therefore fails with
+a :class:`~repro.exceptions.SerializationError` naming its section.
 
 The payload is self-contained: deserialisation needs no venue files and no
 geometry rebuild beyond reconstructing the (pure-float) polygons of the
@@ -51,12 +56,14 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from math import inf
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from repro.core.compiled import CompiledITGraph, IntervalOverlays
+from repro.core.compiled import CompiledITGraph
 from repro.core.snapshot import IntervalBitsets
-from repro.exceptions import CorruptPayloadError, SerializationError
+from repro.exceptions import CorruptPayloadError, InvalidGeometryError, SerializationError
 from repro.geometry.point import Point2D
 from repro.geometry.polygon import Polygon, Rectangle
 
@@ -64,7 +71,8 @@ from repro.geometry.polygon import Polygon, Rectangle
 _MAGIC = b"RPROCG"
 #: Version 2 added the CRC-checksummed section table (version-1 payloads,
 #: which carried no integrity information at all, are rejected); version 3
-#: added the optional ``precompute`` section.  Both still load.
+#: added an optional ``precompute`` section, since retired.  Nine-section
+#: payloads of both versions load.
 _VERSION = 3
 _SUPPORTED_VERSIONS = (2, 3)
 _HEADER = struct.Struct("<6sH")
@@ -82,10 +90,6 @@ SECTION_NAMES = (
     "leaveable-doors",
     "point-location",
 )
-
-#: The optional trailing section (version 3+): serialised
-#: :class:`~repro.core.compiled.IntervalOverlays`.
-OPTIONAL_SECTION_NAME = "precompute"
 
 _POLYGON_KIND = 0
 _RECTANGLE_KIND = 1
@@ -144,18 +148,23 @@ class _Writer:
 
 
 class _Reader:
-    """Sequential reader over a payload; truncation raises SerializationError."""
+    """Sequential reader over one section; every error names the section."""
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, section: str) -> None:
         self._data = data
         self._offset = 0
+        self._section = section
+
+    def error(self, problem: str) -> SerializationError:
+        """A :class:`SerializationError` naming this reader's section."""
+        return SerializationError(f"compiled-graph section {self._section!r}: {problem}")
 
     def _take(self, size: int) -> bytes:
         end = self._offset + size
         if end > len(self._data):
-            raise SerializationError(
-                f"truncated compiled-graph payload: wanted {size} bytes at "
-                f"offset {self._offset}, have {len(self._data) - self._offset}"
+            raise self.error(
+                f"truncated: wanted {size} bytes at offset {self._offset}, "
+                f"have {len(self._data) - self._offset}"
             )
         chunk = self._data[self._offset : end]
         self._offset = end
@@ -177,7 +186,10 @@ class _Reader:
         return self._take(self.u32())
 
     def text(self) -> str:
-        return self.blob().decode("utf-8")
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"identifier is not valid UTF-8: {exc.reason}") from None
 
     def _typed_array(self, typecode: str, itemsize: int) -> array:
         count = self.u32()
@@ -196,8 +208,17 @@ class _Reader:
     def i32_array(self) -> array:
         return self._typed_array("i", 4)
 
-    def done(self) -> bool:
-        return self._offset == len(self._data)
+    def door_indices(self, door_count: int) -> array:
+        """A ``u32`` array of door indices, each ``< door_count``."""
+        values = self.u32_array()
+        if values and max(values) >= door_count:
+            raise self.error(f"door index {max(values)} out of range (have {door_count})")
+        return values
+
+    def finish(self) -> None:
+        """Reject bytes left over after the section's last field."""
+        if self._offset != len(self._data):
+            raise self.error(f"{len(self._data) - self._offset} trailing bytes after the section data")
 
 
 def _write_polygon(writer: _Writer, polygon: Polygon) -> None:
@@ -221,19 +242,22 @@ def _write_polygon(writer: _Writer, polygon: Polygon) -> None:
 
 def _read_polygon(reader: _Reader) -> Polygon:
     kind = reader.u8()
-    if kind == _RECTANGLE_KIND:
-        min_x, min_y = reader.f64(), reader.f64()
-        max_x, max_y = reader.f64(), reader.f64()
-        return Rectangle(min_x, min_y, max_x, max_y)
-    if kind == _POLYGON_KIND:
-        count = reader.u32()
-        coords = reader.f64_array()
-        if len(coords) != 2 * count:
-            raise SerializationError(
-                f"polygon row is inconsistent: {count} vertices but {len(coords)} coordinates"
-            )
-        return Polygon([Point2D(coords[2 * i], coords[2 * i + 1]) for i in range(count)])
-    raise SerializationError(f"unknown polygon kind {kind} in compiled-graph payload")
+    try:
+        if kind == _RECTANGLE_KIND:
+            min_x, min_y = reader.f64(), reader.f64()
+            max_x, max_y = reader.f64(), reader.f64()
+            return Rectangle(min_x, min_y, max_x, max_y)
+        if kind == _POLYGON_KIND:
+            count = reader.u32()
+            coords = reader.f64_array()
+            if len(coords) != 2 * count:
+                raise reader.error(
+                    f"polygon row is inconsistent: {count} vertices but {len(coords)} coordinates"
+                )
+            return Polygon([Point2D(coords[2 * i], coords[2 * i + 1]) for i in range(count)])
+    except InvalidGeometryError as exc:
+        raise reader.error(f"polygon does not rebuild: {exc}") from None
+    raise reader.error(f"unknown polygon kind {kind}")
 
 
 def _sections_of(graph: CompiledITGraph) -> List[bytes]:
@@ -316,81 +340,17 @@ def _sections_of(graph: CompiledITGraph) -> List[bytes]:
     return sections
 
 
-def _precompute_section(overlays: IntervalOverlays) -> bytes:
-    """The optional ``precompute`` section: serialised overlay arrays.
-
-    ``entering_doors`` is a pure function of the adjacency section and is
-    rederived at decode time rather than serialised.
-    """
-    writer = _Writer()
-    writer.u32(overlays.door_count)
-    writer.u32(overlays.interval_count)
-    for row in overlays.component_rows:
-        writer.i32_array(row)
-    writer.u32(len(overlays.landmark_indices))
-    writer.u32_array(overlays.landmark_indices)
-    for per_interval in overlays.landmark_rows:
-        for row in per_interval:
-            writer.f64_array(row)
-    return writer.getvalue()
-
-
-def _decode_precompute(
-    section: bytes, adjacency, partition_count: int, door_count: int, interval_count: int
-) -> IntervalOverlays:
-    """Rebuild :class:`IntervalOverlays` from the optional section's bytes."""
-    reader = _Reader(section)
-    stored_doors = reader.u32()
-    stored_intervals = reader.u32()
-    if stored_doors != door_count or stored_intervals != interval_count:
-        raise SerializationError(
-            f"precompute section disagrees with the compiled graph: "
-            f"{stored_doors} doors / {stored_intervals} intervals, "
-            f"expected {door_count} / {interval_count}"
-        )
-    component_rows = tuple(reader.i32_array() for _ in range(interval_count + 2))
-    for row in component_rows:
-        if len(row) != door_count:
-            raise SerializationError("precompute component row disagrees with the door table")
-    landmark_count = reader.u32()
-    landmark_indices = tuple(reader.u32_array())
-    if len(landmark_indices) != landmark_count:
-        raise SerializationError("precompute landmark table disagrees with its count word")
-    landmark_rows = []
-    for _ in range(interval_count):
-        per_interval = tuple(reader.f64_array() for _ in range(landmark_count))
-        for row in per_interval:
-            if len(row) != door_count:
-                raise SerializationError(
-                    "precompute landmark row disagrees with the door table"
-                )
-        landmark_rows.append(per_interval)
-    if not reader.done():
-        raise SerializationError("trailing bytes after the precompute section data")
-    return IntervalOverlays(
-        door_count,
-        interval_count,
-        component_rows,
-        landmark_indices,
-        tuple(landmark_rows),
-        IntervalOverlays.entering_from_adjacency(adjacency, partition_count),
-    )
-
-
 def compiled_graph_to_bytes(graph: CompiledITGraph) -> bytes:
     """Serialise a compiled graph (including its interval bitsets) to bytes.
 
     The payload captures everything query execution touches — a graph
     rebuilt by :func:`compiled_graph_from_bytes` plans and answers the same
-    workloads with bit-identical results (precompute overlays riding along
-    when the graph carries them).  It does **not** capture the source
+    workloads with bit-identical results.  It does **not** capture the source
     :class:`~repro.core.itgraph.ITGraph`.  Every section carries a CRC32 and
     the whole payload a trailing CRC32, so in-flight damage is detected at
     rehydration instead of decoded into a wrong index.
     """
     sections = _sections_of(graph)
-    if graph.overlays is not None:
-        sections.append(_precompute_section(graph.overlays))
     parts: List[bytes] = [_U32.pack(len(sections))]
     for section in sections:
         parts.append(_U32.pack(len(section)))
@@ -408,8 +368,7 @@ def _checked_sections(data: bytes) -> List[Tuple[str, bytes]]:
     trailing bytes, impossible section table) raise
     :class:`SerializationError`; intact framing with mismatching checksums —
     damaged content — raises :class:`CorruptPayloadError`.  The result lists
-    the nine mandatory sections, plus the ``precompute`` section when the
-    (version-3) payload carries one.
+    the nine sections of :data:`SECTION_NAMES`.
     """
     prefix = _HEADER.size + _U32.size
     if len(data) < prefix + _U32.size:
@@ -442,20 +401,18 @@ def _checked_sections(data: bytes) -> List[Tuple[str, bytes]]:
     end = total - _U32.size
     (section_count,) = _U32.unpack_from(data, offset)
     offset += _U32.size
-    names = list(SECTION_NAMES)
-    if version >= 3 and section_count == len(SECTION_NAMES) + 1:
-        names.append(OPTIONAL_SECTION_NAME)
-    elif section_count != len(SECTION_NAMES):
-        expected = (
-            f"{len(SECTION_NAMES)} or {len(SECTION_NAMES) + 1}"
-            if version >= 3
-            else f"{len(SECTION_NAMES)}"
+    if section_count != len(SECTION_NAMES):
+        retired = (
+            " (a tenth section would be the retired 'precompute' overlays, no longer supported)"
+            if section_count == len(SECTION_NAMES) + 1
+            else ""
         )
         raise SerializationError(
-            f"compiled-graph payload carries {section_count} sections, expected {expected}"
+            f"compiled-graph payload carries {section_count} sections, "
+            f"expected {len(SECTION_NAMES)}{retired}"
         )
     sections: List[Tuple[str, bytes]] = []
-    for name in names:
+    for name in SECTION_NAMES:
         if offset + 2 * _U32.size > end:
             raise SerializationError(
                 f"section table ends after {len(sections)} of {section_count} "
@@ -513,48 +470,59 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
     Raises
     ------
     SerializationError
-        On a foreign or truncated payload, or a format version this library
-        does not understand.
+        On a foreign or truncated payload, a format version this library
+        does not understand, or a structurally invalid section (an index out
+        of range, a non-finite leg or boundary, undecodable text, a polygon
+        that does not rebuild); the message names the section.
     CorruptPayloadError
         When the framing is intact but a section CRC or the whole-payload
         CRC does not match (bit-flips, partial overwrites).
     """
-    named_sections = _checked_sections(data)
-    precompute: Optional[bytes] = None
-    if named_sections and named_sections[-1][0] == OPTIONAL_SECTION_NAME:
-        precompute = named_sections[-1][1]
-        named_sections = named_sections[:-1]
-    reader = _Reader(b"".join(section for _name, section in named_sections))
+    readers = {name: _Reader(section, name) for name, section in _checked_sections(data)}
 
+    reader = readers["id-tables"]
     door_ids = [reader.text() for _ in range(reader.u32())]
     partition_ids = [reader.text() for _ in range(reader.u32())]
+    reader.finish()
     door_count = len(door_ids)
     partition_count = len(partition_ids)
 
+    reader = readers["partition-flags"]
     partition_private = [flag == 1 for flag in reader.blob()]
     partition_outdoor = [flag == 1 for flag in reader.blob()]
     if len(partition_private) != partition_count or len(partition_outdoor) != partition_count:
-        raise SerializationError("partition flag arrays disagree with the partition table")
+        raise reader.error("partition flag arrays disagree with the partition table")
+    reader.finish()
 
+    reader = readers["distance-matrices"]
     dm_locals: List[Dict[int, int]] = []
     dm_arrays: List[array] = []
     for _ in range(partition_count):
         members = reader.u32_array()
         dense = reader.f64_array()
         if len(dense) != len(members) * len(members):
-            raise SerializationError("dense DM matrix disagrees with its member list")
+            raise reader.error("dense DM matrix disagrees with its member list")
         dm_locals.append({door_idx: rank for rank, door_idx in enumerate(members)})
         dm_arrays.append(dense)
+    reader.finish()
 
+    reader = readers["adjacency"]
     adjacency: List[Tuple[Tuple[int, bool, Tuple[Tuple[int, float], ...]], ...]] = []
     for _ in range(door_count):
         groups = []
         for _ in range(reader.u32()):
             partition_idx = reader.u32()
-            edge_doors = reader.u32_array()
+            if partition_idx >= partition_count:
+                raise reader.error(
+                    f"partition index {partition_idx} out of range (have {partition_count})"
+                )
+            edge_doors = reader.door_indices(door_count)
             edge_legs = reader.f64_array()
             if len(edge_doors) != len(edge_legs):
-                raise SerializationError("adjacency edge arrays disagree in length")
+                raise reader.error("edge arrays disagree in length")
+            # A NaN anywhere makes the sum NaN, which fails ``< inf``.
+            if edge_legs and not (min(edge_legs) >= 0.0 and sum(edge_legs) < inf):
+                raise reader.error("edge legs must be finite and non-negative")
             groups.append(
                 (
                     partition_idx,
@@ -563,49 +531,58 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
                 )
             )
         adjacency.append(tuple(groups))
+    reader.finish()
 
-    ati_bounds = tuple(tuple(reader.f64_array()) for _ in range(door_count))
+    reader = readers["ati-bounds"]
+    ati_bounds = []
+    for _ in range(door_count):
+        bounds = tuple(reader.f64_array())
+        # Non-decreasing between finite ends means finite throughout; NaN
+        # fails every comparison.
+        if bounds and not (-inf < bounds[0] and bounds[-1] < inf and all(map(le, bounds, bounds[1:]))):
+            raise reader.error("ATI bounds must be finite and non-decreasing")
+        ati_bounds.append(bounds)
+    reader.finish()
 
+    reader = readers["interval-bitsets"]
     starts = list(reader.f64_array())
     flags = reader.blob()
     if len(flags) != len(starts) * door_count:
-        raise SerializationError("interval bitset block disagrees with the interval count")
+        raise reader.error("interval bitset block disagrees with the interval count")
+    reader.finish()
     interval_bitsets = IntervalBitsets._from_state(
         starts,
         [flags[i * door_count : (i + 1) * door_count] for i in range(len(starts))],
     )
 
+    reader = readers["door-geometry"]
     door_x = reader.f64_array()
     door_y = reader.f64_array()
     door_floor = list(reader.i32_array())
     if not (len(door_x) == len(door_y) == len(door_floor) == door_count):
-        raise SerializationError("door geometry arrays disagree with the door table")
+        raise reader.error("door geometry arrays disagree with the door table")
+    reader.finish()
 
-    leaveable_by_partition = [tuple(reader.u32_array()) for _ in range(partition_count)]
+    reader = readers["leaveable-doors"]
+    leaveable_by_partition = [
+        tuple(reader.door_indices(door_count)) for _ in range(partition_count)
+    ]
+    reader.finish()
 
+    reader = readers["point-location"]
     locate_specs = []
     for _ in range(reader.u32()):
         pidx = reader.u32()
+        if pidx >= partition_count:
+            raise reader.error(f"partition index {pidx} out of range (have {partition_count})")
         floor = reader.i32()
         spans: Optional[Tuple[int, int]] = None
         if reader.u8():
             spans = (reader.i32(), reader.i32())
+            if spans[1] < spans[0]:
+                raise reader.error(f"floor span {spans} is not ordered")
         locate_specs.append((pidx, floor, spans, _read_polygon(reader)))
-    if not reader.done():
-        raise SerializationError(
-            f"{len(reader._data) - reader._offset} trailing bytes after the "
-            "compiled-graph section data"
-        )
-
-    overlays: Optional[IntervalOverlays] = None
-    if precompute is not None:
-        overlays = _decode_precompute(
-            precompute,
-            adjacency,
-            partition_count,
-            door_count,
-            interval_bitsets.interval_count,
-        )
+    reader.finish()
 
     return CompiledITGraph._from_state(
         {
@@ -616,13 +593,12 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
             "dm_arrays": dm_arrays,
             "dm_locals": dm_locals,
             "adjacency": adjacency,
-            "ati_bounds": ati_bounds,
+            "ati_bounds": tuple(ati_bounds),
             "interval_bitsets": interval_bitsets,
             "door_x": door_x,
             "door_y": door_y,
             "door_floor": door_floor,
             "leaveable_by_partition": leaveable_by_partition,
             "locate_specs": locate_specs,
-            "overlays": overlays,
         }
     )

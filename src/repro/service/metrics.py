@@ -30,7 +30,7 @@ class ServiceMetrics:
         self.answered = 0
         self.shed = 0  # 429s: admission + cache-replay misses
         self.deadline_exceeded = 0  # 504s
-        self.bad_requests = 0  # 400s
+        self.bad_requests = 0  # 400s, and 501s for a transfer coding
         self.client_timeouts = 0  # 408s: slow clients
         self.unavailable = 0  # 503s: draining / not ready
         self.internal_errors = 0  # 500s
@@ -47,7 +47,7 @@ class ServiceMetrics:
             self.shed += 1
         elif status == 504:
             self.deadline_exceeded += 1
-        elif status == 400:
+        elif status in (400, 501):
             self.bad_requests += 1
         elif status == 408:
             self.client_timeouts += 1

@@ -93,6 +93,7 @@ _REASONS = {
     408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -115,6 +116,61 @@ def parse_query_document(body: bytes) -> Dict[str, Any]:
         if name not in document:
             raise ValueError(f"the query body lacks the required field {name!r}")
     return document
+
+
+class FramingError(ValueError):
+    """HTTP framing a server answers with :attr:`status` (400, or 501 for a
+    transfer coding) and then closes the connection, because the body's
+    extent is unknown and the stream cannot be resynchronised."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+    def payload(self) -> Dict[str, str]:
+        """The JSON error body of the answer."""
+        return {"error": str(self), "type": "NotImplemented" if self.status == 501 else "BadRequest"}
+
+
+async def read_request(
+    reader: asyncio.StreamReader, first: bytes, max_body_bytes: int
+) -> Tuple[str, str, bytes]:
+    """The ``(method, path, body)`` of one HTTP/1.1 request whose ``first``
+    byte has arrived; shared by the service and the shard router.
+
+    Raises :class:`FramingError` (400) for a malformed request line, a
+    header line with no colon, or a ``Content-Length`` that is not a
+    non-negative integer or exceeds ``max_body_bytes``; and (501) for any
+    ``Transfer-Encoding`` (RFC 9112 §6: only ``Content-Length`` bodies are
+    read, so chunk bytes never linger on a keep-alive stream).
+    """
+    head = first + await reader.readuntil(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    parts = lines[0].split(" ")
+    if len(parts) < 3:
+        raise FramingError(400, f"malformed request line: {lines[0][:64]!r}")
+    http_method, path = parts[0].upper(), parts[1]
+    length = 0
+    for line in lines[1:]:
+        if not line:
+            continue  # the blank line that ends the head
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise FramingError(400, f"header line without a colon: {line[:64]!r}")
+        name = name.strip().lower()
+        if name == "transfer-encoding":
+            raise FramingError(501, "Transfer-Encoding is not supported; send a Content-Length body")
+        if name == "content-length":
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise FramingError(
+                    400, f"Content-Length must be a non-negative integer, got {value[:64]!r}"
+                )
+            length = int(value)
+    if length > max_body_bytes:
+        raise FramingError(400, f"Content-Length {length} exceeds the {max_body_bytes}-byte body limit")
+    body = await reader.readexactly(length) if length else b""
+    return http_method, path, body
 
 
 @dataclass
@@ -400,7 +456,7 @@ class ITSPQService:
                     return  # clean EOF between requests (keep-alive close)
                 try:
                     request = await asyncio.wait_for(
-                        self._read_request(reader, first),
+                        read_request(reader, first, self._config.max_body_bytes),
                         timeout=self._config.client_timeout_seconds,
                     )
                 except asyncio.TimeoutError:
@@ -412,6 +468,11 @@ class ITSPQService:
                         {"error": "request not received in time", "type": "ClientTimeout"},
                         keep_alive=False,
                     )
+                    return
+                except FramingError as exc:
+                    self._metrics.received += 1
+                    self._metrics.observe_outcome(exc.status)
+                    await self._respond(writer, exc.status, exc.payload(), keep_alive=False)
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return  # disconnect or garbage framing: nothing to answer
@@ -426,30 +487,6 @@ class ITSPQService:
                 await writer.wait_closed()
             except Exception:
                 pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader, first: bytes
-    ) -> Tuple[str, str, bytes]:
-        """The rest of a request whose ``first`` byte has arrived."""
-        head = first + await reader.readuntil(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) < 3:
-            raise ConnectionError("malformed request line")
-        http_method, path = parts[0].upper(), parts[1]
-        length = 0
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError as exc:
-                        raise ConnectionError("malformed content-length") from exc
-        if length < 0 or length > self._config.max_body_bytes:
-            raise ConnectionError("unacceptable content-length")
-        body = await reader.readexactly(length) if length else b""
-        return http_method, path, body
 
     async def _respond(
         self,

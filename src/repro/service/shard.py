@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
-from repro.service.server import parse_query_document
+from repro.service.server import FramingError, parse_query_document, read_request
 
 _REASONS = {
     200: "OK",
@@ -60,6 +60,7 @@ _REASONS = {
     408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     502: "Bad Gateway",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -237,7 +238,7 @@ class RouterMetrics:
             raise ValueError(f"reservoir_size must be positive, got {reservoir_size}")
         self.received = 0
         self.routed = 0  # forwarded to a shard and answered by it
-        self.bad_requests = 0  # 400s the router itself produced
+        self.bad_requests = 0  # 400s (and 501s) the router itself produced
         self.shed = 0  # 429s from the per-shard in-flight budget
         self.shard_unavailable = 0  # 503s while the owning shard is down
         self.proxy_failures = 0  # 502s: connection to the shard broke
@@ -690,7 +691,7 @@ class ShardRouter:
                     return
                 try:
                     request = await asyncio.wait_for(
-                        self._read_request(reader, first),
+                        read_request(reader, first, self._config.max_body_bytes),
                         timeout=self._config.client_timeout_seconds,
                     )
                 except asyncio.TimeoutError:
@@ -702,6 +703,11 @@ class ShardRouter:
                         {"error": "request not received in time", "type": "ClientTimeout"},
                         keep_alive=False,
                     )
+                    return
+                except FramingError as exc:
+                    self._metrics.received += 1
+                    self._metrics.bad_requests += 1
+                    await self._respond_json(writer, exc.status, exc.payload(), keep_alive=False)
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return
@@ -716,30 +722,6 @@ class ShardRouter:
                 await writer.wait_closed()
             except Exception:
                 pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader, first: bytes
-    ) -> Tuple[str, str, bytes]:
-        """The rest of a request whose ``first`` byte has arrived."""
-        head = first + await reader.readuntil(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) < 3:
-            raise ConnectionError("malformed request line")
-        http_method, path = parts[0].upper(), parts[1]
-        length = 0
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError as exc:
-                        raise ConnectionError("malformed content-length") from exc
-        if length < 0 or length > self._config.max_body_bytes:
-            raise ConnectionError("unacceptable content-length")
-        body = await reader.readexactly(length) if length else b""
-        return http_method, path, body
 
     async def _respond_raw(
         self, writer: asyncio.StreamWriter, status: int, body: bytes, keep_alive: bool = True

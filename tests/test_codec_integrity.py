@@ -1,6 +1,6 @@
 """Codec integrity: a damaged payload must fail loudly, never decode wrong.
 
-The v2 compiled-graph payload carries a CRC32 per section plus a trailing
+The compiled-graph payload carries a CRC32 per section plus a trailing
 whole-payload CRC32.  The contract under test: *any* content damage raises
 :class:`~repro.exceptions.CorruptPayloadError` (framing violations — foreign
 magic, old versions, truncation, trailing bytes — keep raising plain
@@ -8,6 +8,11 @@ magic, old versions, truncation, trailing bytes — keep raising plain
 at all decodes exactly.  This is what lets the parallel executor treat a
 corrupt rehydration payload as a recoverable worker fault rather than a
 silent wrong-answer hazard.
+
+A CRC only proves the bytes are unchanged.  A crafted payload with
+re-stamped checksums must still fail with a typed
+:class:`~repro.exceptions.SerializationError` naming its section — never an
+``IndexError`` or a geometry error from deep inside the decoder.
 """
 
 import random
@@ -15,10 +20,11 @@ import struct
 from zlib import crc32
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CorruptPayloadError, SerializationError
 from repro.io.compiled_codec import (
-    OPTIONAL_SECTION_NAME,
     SECTION_NAMES,
     compiled_graph_from_bytes,
     compiled_graph_to_bytes,
@@ -40,6 +46,37 @@ def patch_trailing_crc(data: bytes) -> bytes:
     """Recompute the whole-payload CRC so deeper checks get exercised."""
     body = data[: -_U32.size]
     return body + _U32.pack(crc32(body))
+
+
+def restamped(payload: bytes, section: str, offset: int, replacement: bytes) -> bytes:
+    """Overwrite bytes of one section at ``offset`` (relative to its data),
+    then re-stamp the section CRC and the whole-payload CRC, so only the
+    decoder's structural checks stand between the bytes and a graph."""
+    spans = {name: (start, end) for name, start, end in payload_section_spans(payload)}
+    start, end = spans[section]
+    assert start + offset + len(replacement) <= end
+    damaged = bytearray(payload)
+    damaged[start + offset : start + offset + len(replacement)] = replacement
+    damaged[start - _U32.size : start] = _U32.pack(crc32(bytes(damaged[start:end])))
+    return patch_trailing_crc(bytes(damaged))
+
+
+def with_tenth_section(payload: bytes, version: int) -> bytes:
+    """The nine-section ``payload`` re-framed with a tenth section appended
+    and the given version word — the shape of the retired ``precompute``
+    payloads."""
+    prefix = _HEADER.size + _U32.size
+    sections = payload[prefix + _U32.size : -_U32.size]
+    extra = b"\x00" * 8
+    body = (
+        _U32.pack(len(SECTION_NAMES) + 1)
+        + sections
+        + _U32.pack(len(extra))
+        + _U32.pack(crc32(extra))
+        + extra
+    )
+    framed = _HEADER.pack(b"RPROCG", version) + _U32.pack(len(body)) + body
+    return framed + _U32.pack(crc32(framed))
 
 
 class TestIntactPayload:
@@ -143,77 +180,28 @@ class TestFileLevel:
 
 
 class TestOptionalPrecomputeSection:
-    """Version 3: the optional ``precompute`` section (interval overlays)."""
-
-    @pytest.fixture(scope="class")
-    def overlay_payload(self, example_itgraph):
-        compiled = example_itgraph.compiled()
-        compiled.build_overlays()
-        try:
-            yield compiled_graph_to_bytes(compiled)
-        finally:
-            compiled.overlays = None  # session-scoped graph: leave it clean
-
-    def test_overlay_payload_grows_one_named_section(self, payload, overlay_payload):
-        names = [name for name, _, _ in payload_section_spans(overlay_payload)]
-        assert names == list(SECTION_NAMES) + [OPTIONAL_SECTION_NAME]
-        assert [name for name, _, _ in payload_section_spans(payload)] == list(SECTION_NAMES)
-
-    def test_overlays_roundtrip_byte_stably(self, overlay_payload):
-        rehydrated = compiled_graph_from_bytes(overlay_payload)
-        assert rehydrated.overlays is not None
-        assert compiled_graph_to_bytes(rehydrated) == overlay_payload
-
-    def test_rehydrated_overlays_match(self, example_itgraph, overlay_payload):
-        compiled = example_itgraph.compiled()
-        fresh = compiled.overlays if compiled.overlays is not None else compiled.build_overlays()
-        rehydrated = compiled_graph_from_bytes(overlay_payload).overlays
-        try:
-            assert rehydrated.door_count == fresh.door_count
-            assert rehydrated.interval_count == fresh.interval_count
-            assert rehydrated.landmark_indices == fresh.landmark_indices
-            assert [list(row) for row in rehydrated.component_rows] == [
-                list(row) for row in fresh.component_rows
-            ]
-            for fresh_interval, rehydrated_interval in zip(
-                fresh.landmark_rows, rehydrated.landmark_rows
-            ):
-                for fresh_row, rehydrated_row in zip(fresh_interval, rehydrated_interval):
-                    assert fresh_row.tobytes() == rehydrated_row.tobytes()
-            assert rehydrated.entering_doors == fresh.entering_doors
-        finally:
-            compiled.overlays = None
-
-    def test_corrupted_precompute_section_is_named(self, overlay_payload):
-        spans = {name: (start, end) for name, start, end in payload_section_spans(overlay_payload)}
-        start, end = spans[OPTIONAL_SECTION_NAME]
-        damaged = bytearray(overlay_payload)
-        damaged[(start + end) // 2] ^= 0x20
-        blob = patch_trailing_crc(bytes(damaged))
-        with pytest.raises(CorruptPayloadError, match=OPTIONAL_SECTION_NAME):
-            compiled_graph_from_bytes(blob)
-
-    def test_payload_without_overlays_still_loads(self, payload):
-        graph = compiled_graph_from_bytes(payload)
-        assert graph.overlays is None
+    """Version 3's optional tenth ``precompute`` section is retired: nine
+    sections load under both versions, ten are a framing error."""
 
     def test_version_2_payloads_still_load(self, payload, example_itgraph):
-        # A v2 payload is a v3 payload without the optional section and with
-        # the version word set to 2 — the exact bytes old checkouts wrote.
+        # A v2 payload is a v3 payload with the version word set to 2 — the
+        # exact bytes old checkouts wrote.
         downgraded = bytearray(payload)
         downgraded[:_HEADER.size] = _HEADER.pack(b"RPROCG", 2)
         blob = patch_trailing_crc(bytes(downgraded))
         graph = compiled_graph_from_bytes(blob)
         assert graph.door_count == example_itgraph.compiled().door_count
-        assert graph.overlays is None
 
-    def test_version_2_rejects_ten_sections(self, overlay_payload):
-        # The optional section is a v3 feature: a payload claiming v2 with
-        # ten sections is framing-invalid, not quietly accepted.
-        downgraded = bytearray(overlay_payload)
-        downgraded[:_HEADER.size] = _HEADER.pack(b"RPROCG", 2)
-        with pytest.raises(SerializationError, match="sections"):
-            compiled_graph_from_bytes(patch_trailing_crc(bytes(downgraded)))
+    def test_version_2_rejects_ten_sections(self, payload):
+        # Any version: a tenth section is framing-invalid, not quietly
+        # accepted or skipped, and the error names the retired section.
+        for version in (2, 3):
+            blob = with_tenth_section(payload, version)
+            with pytest.raises(SerializationError, match="sections") as excinfo:
+                compiled_graph_from_bytes(blob)
+            assert "precompute" in str(excinfo.value)
+            with pytest.raises(SerializationError, match="precompute"):
+                verify_payload(blob)
 
     def test_declared_but_missing_precompute_is_a_framing_error(self, payload):
         # Section count says ten, body carries nine: truncation, by name.
@@ -222,3 +210,97 @@ class TestOptionalPrecomputeSection:
         damaged[offset : offset + _U32.size] = _U32.pack(len(SECTION_NAMES) + 1)
         with pytest.raises(SerializationError, match="sections"):
             compiled_graph_from_bytes(patch_trailing_crc(bytes(damaged)))
+
+
+class TestStructuralValidation:
+    """CRC-valid but crafted sections fail with a typed, named error."""
+
+    @pytest.mark.parametrize(
+        "section, offset, replacement, problem",
+        [
+            # Door 0's first group: [group count][partition index]...
+            ("adjacency", 4, _U32.pack(9999), "partition index 9999"),
+            # [door count][first id length][first id bytes]
+            ("id-tables", 8, b"\xff", "UTF-8"),
+            # Door 0's bounds: [count][first boundary]
+            ("ati-bounds", 4, struct.pack("<d", float("nan")), "ATI bounds"),
+            ("ati-bounds", 4, struct.pack("<d", 1e9), "ATI bounds"),
+            # Partition 0's leaveable doors: [count][first door]
+            ("leaveable-doors", 4, _U32.pack(9999), "door index 9999"),
+            # [spec count][first spec's partition index]
+            ("point-location", 4, _U32.pack(9999), "partition index 9999"),
+        ],
+        ids=[
+            "adjacency-partition",
+            "id-not-utf8",
+            "ati-nan",
+            "ati-decreasing",
+            "leaveable-door",
+            "locate-partition",
+        ],
+    )
+    def test_crafted_section_is_named(self, payload, section, offset, replacement, problem):
+        blob = restamped(payload, section, offset, replacement)
+        with pytest.raises(SerializationError, match=problem) as excinfo:
+            compiled_graph_from_bytes(blob)
+        assert section in str(excinfo.value)
+        assert not isinstance(excinfo.value, CorruptPayloadError)
+
+    @staticmethod
+    def first_edge_group(payload):
+        """Offset of the first adjacency group with edges, and its edge count.
+
+        Per door: ``[group count]``; per group: ``[partition][door count]
+        [doors...][leg count][legs...]``.
+        """
+        offset = 0
+        for groups in compiled_graph_from_bytes(payload).adjacency:
+            offset += 4
+            for _pidx, _private, edges in groups:
+                if edges:
+                    return offset, len(edges)
+                offset += 4 + 4 + 4
+        raise AssertionError("the venue has no adjacency edges")
+
+    def test_out_of_range_edge_door_is_named(self, payload):
+        group_at, _count = self.first_edge_group(payload)
+        blob = restamped(payload, "adjacency", group_at + 8, _U32.pack(9999))
+        with pytest.raises(SerializationError, match="adjacency.*door index 9999"):
+            compiled_graph_from_bytes(blob)
+
+    def test_non_finite_or_negative_leg_is_named(self, payload):
+        group_at, count = self.first_edge_group(payload)
+        legs_at = group_at + 8 + 4 * count + 4
+        for leg in (float("nan"), float("inf"), -1.0):
+            blob = restamped(payload, "adjacency", legs_at, struct.pack("<d", leg))
+            with pytest.raises(SerializationError, match="adjacency.*legs"):
+                compiled_graph_from_bytes(blob)
+
+    def test_polygon_that_does_not_rebuild_is_named(self, payload):
+        graph = compiled_graph_from_bytes(payload)
+        _pidx, _floor, spans, polygon = graph.locate_specs[0]
+        assert spans is None and polygon.__class__.__name__ == "Rectangle"
+        # [count][pidx][floor][spans flag][kind][min_x][min_y][max_x][max_y]
+        max_x_at = 4 + 4 + 4 + 1 + 1 + 16
+        blob = restamped(payload, "point-location", max_x_at, struct.pack("<d", -1e9))
+        with pytest.raises(SerializationError, match="point-location.*polygon"):
+            compiled_graph_from_bytes(blob)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(section=st.sampled_from(SECTION_NAMES), data=st.data())
+    def test_mutated_section_loads_or_raises_serialization_error(self, payload, section, data):
+        start, end = {name: (s, e) for name, s, e in payload_section_spans(payload)}[section]
+        if start == end:
+            return
+        offset = data.draw(st.integers(0, end - start - 1), label="offset")
+        width = min(end - start - offset, data.draw(st.sampled_from([1, 4, 8]), label="width"))
+        replacement = data.draw(st.binary(min_size=width, max_size=width), label="bytes")
+        blob = restamped(payload, section, offset, replacement)
+        try:
+            compiled_graph_from_bytes(blob)
+        except SerializationError as exc:
+            assert not isinstance(exc, CorruptPayloadError), "both CRCs were re-stamped"

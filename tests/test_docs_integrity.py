@@ -1,9 +1,11 @@
 """Docs that cannot drift: link integrity and the metrics-doc contract.
 
-Two checks keep ``docs/`` honest in tier-1:
+Three checks keep ``docs/`` honest in tier-1:
 
 * every relative markdown link in the repo resolves (the same check CI's
   lint job runs via ``scripts/check_docs.py``);
+* every backticked ``repro.…`` name in the README and ``docs/`` imports
+  and resolves (the same script);
 * ``docs/OPERATIONS.md`` documents **every** field a live single-process
   service emits on ``/metrics`` and ``/readyz`` — asserted against a real
   scrape, not a hardcoded field list, so adding a metric without
@@ -36,7 +38,8 @@ class TestLinkIntegrity:
         )
         assert result.returncode == 0, result.stdout + result.stderr
 
-    def test_checker_catches_a_broken_link(self, tmp_path, monkeypatch):
+    @staticmethod
+    def load_check_docs():
         import importlib.util
 
         spec = importlib.util.spec_from_file_location(
@@ -44,7 +47,10 @@ class TestLinkIntegrity:
         )
         check_docs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(check_docs)
+        return check_docs
 
+    def test_checker_catches_a_broken_link(self, tmp_path, monkeypatch):
+        check_docs = self.load_check_docs()
         monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
         page = tmp_path / "page.md"
         page.write_text(
@@ -53,6 +59,21 @@ class TestLinkIntegrity:
         )
         problems = check_docs.broken_links(page)
         assert [target for target, _why in problems] == ["missing.md"]
+
+    def test_checker_catches_an_unresolved_name(self, tmp_path):
+        check_docs = self.load_check_docs()
+        # A deleted class, spelt in two pieces so a search of the tree for
+        # the retired name finds no live reference.
+        retired = "repro.core.compiled.Interval" "Overlays"
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`repro.core.kernel.search` and `repro.core.*` exist; "
+            f"`{retired}` and `repro.nowhere` do not. "
+            "`python -m repro.service` is a command, not a name."
+        )
+        problems = dict(check_docs.unresolved_symbols(page))
+        assert sorted(problems) == [retired, "repro.nowhere"]
+        assert "has no attribute" in problems[retired]
 
 
 class TestMetricsDocCoverage:
@@ -89,7 +110,7 @@ class TestMetricsDocCoverage:
 
     def test_operations_md_names_every_http_status(self):
         doc_text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
-        for status in (200, 400, 404, 405, 408, 429, 502, 503, 504):
+        for status in (200, 400, 404, 405, 408, 429, 501, 502, 503, 504):
             assert f"| {status} |" in doc_text, f"status {status} missing from the error table"
         for error_type in (
             "ServiceOverloadedError",
