@@ -241,8 +241,6 @@ def start_server(args, venues, shards: int = 0) -> "tuple[subprocess.Popen, str,
         str(args.window_ms),
         "--max-pending",
         str(args.max_pending),
-        "--workers",
-        str(args.workers),
     ]
     for _name, spec in venues:
         command.extend(("--venue", spec))
@@ -416,7 +414,6 @@ def main() -> None:
         help="compare a single process against a --shards N router on the same "
         "workload (parity sweep + shard-kill phase); writes BENCH_shards.json",
     )
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--window-ms", type=float, default=2.0)
     parser.add_argument("--max-pending", type=int, default=64)
     parser.add_argument("--respawn-backoff", type=float, default=0.2)
@@ -437,7 +434,6 @@ def main() -> None:
         "config": {
             "venues": [spec for _name, spec in venues],
             "shards": args.shards,
-            "workers": args.workers,
             "window_ms": args.window_ms,
             "max_pending": args.max_pending,
             "duration_seconds": args.duration,

@@ -487,8 +487,7 @@ class ITSPQEngine:
         use the engine as a context manager) to shut the pools down.
 
         Supervision ``options`` (``max_chunk_retries``, ``chunk_timeout``,
-        ``backoff_base``, ``backoff_cap``, ``in_process_fallback``,
-        ``fault_plan``, ``chunks_per_worker``, ``start_method``) are passed
+        ``backoff_base``, ``backoff_cap``, ``fault_plan``) are passed
         through to the executor constructor.  Passing any option replaces a
         previously cached executor for that worker count (its pool is closed
         first), so chaos tests can retune the same engine between runs.

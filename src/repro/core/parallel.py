@@ -72,11 +72,7 @@ following rungs until the chunk's results exist:
    :meth:`~repro.core.batch.BatchExecutor.run_planned`, which cannot be
    killed by pool failures.  This rung is what makes the ladder total:
    ``run_batch`` always returns complete, bit-identical results, no matter
-   what the pool does.  (``in_process_fallback=False`` turns the last rung
-   off for callers that would rather fail loudly, raising
-   :class:`~repro.exceptions.WorkerCrashError`,
-   :class:`~repro.exceptions.ChunkTimeoutError` or
-   :class:`~repro.exceptions.ParallelExecutionError`.)
+   what the pool does.
 
 Every call produces an :class:`ExecutionReport` (``executor.last_report``,
 also surfaced as ``ITSPQEngine.last_execution_report``) counting dispatches,
@@ -92,7 +88,9 @@ pools (``fault_plan=None``) never import :mod:`repro.testing`.
 
 On a single-core host the pool only adds IPC overhead; sizing the pool is
 the caller's job (``benchmarks/bench_parallel_scaling.py`` measures the
-scaling curve and records the host's usable CPU count alongside it).
+scaling curve and records the host's usable CPU count alongside it).  The
+query service does not use the pool: its micro-batches are too small to pay
+for the hand-off, and its shard processes are its process-level parallelism.
 """
 
 from __future__ import annotations
@@ -113,11 +111,17 @@ from repro.core.batch import BatchExecutor, BatchGroup, BatchPlanner
 from repro.core.compiled import CompiledITGraph
 from repro.core.query import ITSPQuery, QueryResult
 from repro.core.snapshot import CompiledSnapshotStore
-from repro.exceptions import (
-    ChunkTimeoutError,
-    ParallelExecutionError,
-    WorkerCrashError,
-)
+
+#: Chunks the plan is packed into per worker: a few, so an idle worker can
+#: steal the next one while a heavy chunk still runs elsewhere.
+CHUNKS_PER_WORKER = 4
+#: Workers fork where the platform can (they start in milliseconds), and
+#: start the platform's default way elsewhere; the codec hand-off makes them
+#: identical either way.
+try:
+    _POOL_CONTEXT = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - platforms without fork
+    _POOL_CONTEXT = multiprocessing.get_context()
 
 #: The per-process executor over the rehydrated index (set by the pool
 #: initializer; one per worker process, never shared).
@@ -258,7 +262,8 @@ class ExecutionReport:
     def total_seconds(self) -> float:
         """Alias of :attr:`elapsed_seconds` under the service's metric name
         (``dispatch_unix + total_seconds`` brackets the call in wall-clock
-        terms, which is what a health scorer correlates across reports)."""
+        terms, which is what a reader of ``/metrics`` correlates across
+        reports)."""
         return self.elapsed_seconds
 
     def as_dict(self) -> Dict[str, Any]:
@@ -311,21 +316,13 @@ class ExecutionReport:
 class _ChunkTask:
     """Supervision record of one dispatched chunk."""
 
-    __slots__ = ("chunk_id", "groups", "attempt", "deadline", "last_failure")
+    __slots__ = ("chunk_id", "groups", "attempt", "deadline")
 
     def __init__(self, chunk_id: int, groups: List[BatchGroup]):
         self.chunk_id = chunk_id
         self.groups = groups
         self.attempt = 0
         self.deadline: Optional[float] = None
-        self.last_failure: Optional[str] = None
-
-    def describe(self) -> str:
-        sequences = [group.sequence for group in self.groups]
-        return (
-            f"chunk {self.chunk_id} ({len(self.groups)} groups "
-            f"{min(sequences)}..{max(sequences)}, attempt {self.attempt})"
-        )
 
 
 class ParallelBatchExecutor:
@@ -351,10 +348,6 @@ class ParallelBatchExecutor:
     backoff_base / backoff_cap:
         Bounded exponential backoff between pool respawns: the n-th
         consecutive respawn sleeps ``min(cap, base * 2**(n-1))`` seconds.
-    in_process_fallback:
-        ``True`` (default) completes unrecoverable chunks in the parent;
-        ``False`` raises the matching
-        :class:`~repro.exceptions.ParallelExecutionError` subclass instead.
     fault_plan:
         A :class:`repro.testing.faults.FaultPlan` for chaos tests; ``None``
         (production) never touches :mod:`repro.testing`.
@@ -366,21 +359,16 @@ class ParallelBatchExecutor:
         workers: int,
         store: Optional[CompiledSnapshotStore] = None,
         walking_speed: float = WALKING_SPEED_MPS,
-        chunks_per_worker: int = 4,
-        start_method: Optional[str] = None,
         payload: Optional[bytes] = None,
         max_chunk_retries: int = 2,
         chunk_timeout: Optional[float] = 120.0,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        in_process_fallback: bool = True,
         fault_plan=None,
         cache=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        if chunks_per_worker < 1:
-            raise ValueError(f"chunks_per_worker must be positive, got {chunks_per_worker}")
         if max_chunk_retries < 0:
             raise ValueError(f"max_chunk_retries must be non-negative, got {max_chunk_retries}")
         if chunk_timeout is not None and not chunk_timeout > 0:
@@ -392,7 +380,6 @@ class ParallelBatchExecutor:
         if walking_speed <= 0:
             raise ValueError(f"walking_speed must be positive, got {walking_speed}")
         self._workers = int(workers)
-        self._chunks_per_worker = int(chunks_per_worker)
         # The parent shares ``cache`` (an SPTreeCache or CacheConfig) with
         # its in-process fallback executor; workers get their own caches,
         # rebuilt from the *config* in the pool initializer — cached trees
@@ -402,12 +389,10 @@ class ParallelBatchExecutor:
         self._cache_config = local_cache.config if local_cache is not None else None
         self._speed = walking_speed
         self._payload = payload
-        self._start_method = start_method
         self._max_retries = int(max_chunk_retries)
         self._chunk_timeout = chunk_timeout
         self._backoff_base = float(backoff_base)
         self._backoff_cap = float(backoff_cap)
-        self._fallback_enabled = bool(in_process_fallback)
         self._fault_plan = fault_plan
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Pools spawned over this executor's lifetime; doubles as the
@@ -485,14 +470,14 @@ class ParallelBatchExecutor:
         """Pack groups into size-balanced chunks for the dispatch queue.
 
         Groups are distributed greedily by descending member count into
-        ``workers * chunks_per_worker`` chunks (ties broken by plan order,
+        ``workers * CHUNKS_PER_WORKER`` chunks (ties broken by plan order,
         so chunking is deterministic), and the heaviest chunks are emitted
         first: a worker that finishes a light chunk picks up the next one
         while a heavy chunk is still running elsewhere.  The emitted
         position is the chunk's id — the coordinate retry bookkeeping (and
         fault plans) key on.
         """
-        chunk_count = min(len(groups), self._workers * self._chunks_per_worker)
+        chunk_count = min(len(groups), self._workers * CHUNKS_PER_WORKER)
         order = sorted(range(len(groups)), key=lambda index: (-groups[index].size, index))
         chunks: List[List[BatchGroup]] = [[] for _ in range(chunk_count)]
         weights = [0] * chunk_count
@@ -534,20 +519,15 @@ class ParallelBatchExecutor:
         #: the subset with nobody to blame (the drain guard).
         consecutive_respawns = 0
         unblamed_respawns = 0
-        #: The most recent failure kind — what never-dispatched chunks are
-        #: attributed to when the respawn guard drains the queue.
-        last_failure_kind: Optional[str] = None
 
         pool_started = time.perf_counter()
 
-        def charge_failure(task: _ChunkTask, failure: str) -> None:
+        def charge_failure(task: _ChunkTask) -> None:
             """Charge one failed attempt; route to retry or the last rung."""
-            nonlocal last_failure_kind
             task.attempt += 1
-            task.last_failure = failure
-            last_failure_kind = failure
             if task.attempt > self._max_retries:
-                self._route_to_fallback(task, fallback, report)
+                report.chunks_fallback += 1
+                fallback.append(task)
             else:
                 report.chunks_retried += 1
                 pending.append(task)
@@ -602,18 +582,17 @@ class ParallelBatchExecutor:
                         crashed.append(task)
                     else:
                         report.chunk_failures += 1
-                        charge_failure(task, "failure")
+                        charge_failure(task)
                 if len(crashed) == 1 and not in_flight:
                     # The chunk's worker died while no other chunk was left
                     # in flight: the crash is the chunk's own.
                     suspects.discard(crashed[0].chunk_id)
                     blamed = True
-                    charge_failure(crashed[0], "crash")
+                    charge_failure(crashed[0])
                 else:
                     # A death every in-flight future reports: requeue without
                     # charging anyone, and isolate the suspects.
                     for task in crashed:
-                        last_failure_kind = "crash"
                         suspects.add(task.chunk_id)
                         pending.appendleft(task)
                 if self._chunk_timeout is not None:
@@ -626,7 +605,7 @@ class ParallelBatchExecutor:
                             # means condemning the pool.
                             broken = True
                             blamed = True
-                            charge_failure(task, "timeout")
+                            charge_failure(task)
 
             if broken:
                 # Salvage completed-but-uncollected chunks, requeue the rest
@@ -649,12 +628,9 @@ class ParallelBatchExecutor:
                     # The pool cannot be kept alive at all (e.g. every
                     # initializer dies): drain everything to the last rung.
                     self._close_pool()
-                    while pending:
-                        task = pending.popleft()
-                        task.last_failure = (
-                            task.last_failure or last_failure_kind or "crash"
-                        )
-                        self._route_to_fallback(task, fallback, report)
+                    report.chunks_fallback += len(pending)
+                    fallback.extend(pending)
+                    pending.clear()
                 else:
                     self._respawn_pool(report, consecutive_respawns)
 
@@ -669,40 +645,14 @@ class ParallelBatchExecutor:
         report.fallback_seconds = time.perf_counter() - fallback_started
         return pairs
 
-    def _route_to_fallback(
-        self, task: _ChunkTask, fallback: List[_ChunkTask], report: ExecutionReport
-    ) -> None:
-        """Drop a chunk to the in-process rung — or raise when it is off."""
-        if self._fallback_enabled:
-            report.chunks_fallback += 1
-            fallback.append(task)
-            return
-        self._close_pool()
-        message = (
-            f"{task.describe()} unrecoverable after {task.attempt} failed pool "
-            f"attempt(s) and in-process fallback is disabled"
-        )
-        if task.last_failure == "timeout":
-            raise ChunkTimeoutError(message)
-        if task.last_failure == "crash":
-            raise WorkerCrashError(message)
-        raise ParallelExecutionError(message)
-
     # -- pool lifecycle -----------------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            method = self._start_method
-            if method is None:
-                # ``fork`` starts workers in milliseconds where available;
-                # elsewhere fall back to the platform default (the codec
-                # hand-off makes workers identical either way).
-                method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            context = multiprocessing.get_context(method)
             generation = self._pools_spawned
             self._pool = ProcessPoolExecutor(
                 max_workers=self._workers,
-                mp_context=context,
+                mp_context=_POOL_CONTEXT,
                 initializer=_init_worker,
                 initargs=(
                     self.payload_bytes(),

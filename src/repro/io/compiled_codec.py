@@ -41,9 +41,11 @@ alone answers queries from — a silently damaged index
 (``tests/test_codec_integrity.py`` flips bytes in every section to prove
 it).  A checksum proves the bytes are unchanged, not that they are valid,
 so decoding also checks structure: every index is in range, every leg and
-ATI boundary is finite (boundaries non-decreasing), identifiers are UTF-8
-and polygons rebuild.  A CRC-valid but crafted payload therefore fails with
-a :class:`~repro.exceptions.SerializationError` naming its section.
+ATI boundary is finite (boundaries non-decreasing), interval starts are
+finite and strictly increasing (at least one), floor spans stay within the
+venue's floors, identifiers are UTF-8 and polygons rebuild.  A CRC-valid
+but crafted payload therefore fails with a
+:class:`~repro.exceptions.SerializationError` naming its section.
 
 The payload is self-contained: deserialisation needs no venue files and no
 geometry rebuild beyond reconstructing the (pure-float) polygons of the
@@ -57,7 +59,7 @@ import struct
 import sys
 from array import array
 from math import inf
-from operator import le
+from operator import le, lt
 from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -472,8 +474,9 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
     SerializationError
         On a foreign or truncated payload, a format version this library
         does not understand, or a structurally invalid section (an index out
-        of range, a non-finite leg or boundary, undecodable text, a polygon
-        that does not rebuild); the message names the section.
+        of range, a non-finite leg or boundary, no or unordered interval
+        starts, a floor span past the venue's floors, undecodable text, a
+        polygon that does not rebuild); the message names the section.
     CorruptPayloadError
         When the framing is intact but a section CRC or the whole-payload
         CRC does not match (bit-flips, partial overwrites).
@@ -546,6 +549,10 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
 
     reader = readers["interval-bitsets"]
     starts = list(reader.f64_array())
+    # Every instant of the day falls in some interval: at least one, with
+    # finite, strictly increasing starts (NaN fails every comparison).
+    if not (starts and -inf < starts[0] and starts[-1] < inf and all(map(lt, starts, starts[1:]))):
+        raise reader.error("interval starts must be one or more finite, strictly increasing instants")
     flags = reader.blob()
     if len(flags) != len(starts) * door_count:
         raise reader.error("interval bitset block disagrees with the interval count")
@@ -582,6 +589,17 @@ def compiled_graph_from_bytes(data: bytes) -> CompiledITGraph:
             if spans[1] < spans[0]:
                 raise reader.error(f"floor span {spans} is not ordered")
         locate_specs.append((pidx, floor, spans, _read_polygon(reader)))
+    # A span stays within the floors the venue's doors and rows stand on, so
+    # installing it never walks floors the payload does not have.
+    spanned = [spans for _pidx, _floor, spans, _polygon in locate_specs if spans is not None]
+    if spanned:
+        floors = [*door_floor, *(floor for _pidx, floor, _spans, _polygon in locate_specs)]
+        lowest, highest = min(floors), max(floors)
+        for low, high in spanned:
+            if low < lowest or high > highest:
+                raise reader.error(
+                    f"floor span {(low, high)} reaches past the venue's floors {lowest}..{highest}"
+                )
     reader.finish()
 
     return CompiledITGraph._from_state(

@@ -15,11 +15,10 @@ robustness machinery:
 * **admission control** — a bounded pending-request budget sheds load with
   :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429) and a
   semaphore caps in-flight batches (:mod:`repro.service.admission`);
-* **a circuit-breaker degradation ladder** — parallel pool → in-process
-  batch → sequential compiled → cache-replay-only, each rung guarded by a
-  breaker scored from outcomes and
-  :class:`~repro.core.parallel.ExecutionReport` history, with
-  bounded-backoff recovery probes (:mod:`repro.service.degradation`);
+* **a circuit-breaker degradation ladder** — in-process batch →
+  sequential compiled → cache-replay-only, each rung guarded by a breaker
+  scored from outcomes, with bounded-backoff recovery probes
+  (:mod:`repro.service.degradation`);
 * **graceful lifecycle** — ``/healthz`` / ``/readyz`` / ``/metrics``
   endpoints and drain-then-close shutdown reusing the engines' idempotent
   ``close()`` contract (:mod:`repro.service.server`);
@@ -27,7 +26,8 @@ robustness machinery:
   front-end over N supervised service subprocesses (one venue subset each,
   static venue→shard map, pooled proxying, bounded-backoff respawn,
   aggregated health/metrics), the ``--shards`` mode of
-  ``python -m repro.service`` (:mod:`repro.service.shard`).
+  ``python -m repro.service`` (:mod:`repro.service.shard`), and the
+  service's only process-level parallelism.
 
 Every rung answers **bit-identically** to the sequential oracle (the
 repository's standing parity invariant); degradation changes latency and

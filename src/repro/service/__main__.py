@@ -23,8 +23,8 @@ Topology selection:
   subprocesses (each an ordinary ``python -m repro.service`` on its own
   localhost port) and this process proxies ``POST /query`` by venue,
   aggregates ``/healthz`` ``/readyz`` ``/metrics``, and respawns dead
-  shards with bounded backoff.  Engine flags (``--cache``, ``--workers``,
-  ``--window-ms``, ...) are forwarded to every worker.
+  shards with bounded backoff.  Engine flags (``--cache``, ``--window-ms``,
+  ...) are forwarded to every worker.
 
 Either way the process prints exactly one ``listening on HOST:PORT`` line
 to stdout once ready (the line the load generator and the CI job wait
@@ -151,7 +151,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="run a ShardRouter over this many service subprocesses (venues are "
         "round-robin partitioned; 0 = single-process serving, the default)",
     )
-    parser.add_argument("--workers", type=int, default=1, help=">1 adds the parallel-pool rung")
     parser.add_argument(
         "--cache",
         choices=("off", "promote", "eager"),
@@ -210,7 +209,6 @@ def venue_entries(args: argparse.Namespace) -> List[str]:
 def forwarded_worker_args(args: argparse.Namespace) -> Tuple[str, ...]:
     """Engine/service flags every shard worker inherits from the router CLI."""
     forwarded = [
-        "--workers", str(args.workers),
         "--cache", args.cache,
         "--window-ms", str(args.window_ms),
         "--max-batch", str(args.max_batch),
@@ -253,7 +251,6 @@ async def amain(args: argparse.Namespace) -> None:
             max_pending=args.max_pending,
             max_inflight_batches=args.max_inflight,
             default_deadline_ms=args.deadline_ms,
-            workers=args.workers,
             breaker_failure_threshold=args.breaker_threshold,
             breaker_backoff_base=args.breaker_backoff,
             breaker_backoff_cap=args.breaker_backoff_cap,

@@ -1,15 +1,11 @@
 """The circuit-breaker degradation ladder over the execution tiers.
 
-PR 4 gave the *parallel executor* an internal ladder (retry → respawn →
-in-process fallback).  This module extends that idea to the whole service:
-every execution tier is a **rung** with its own circuit breaker, and each
-micro-batch runs on the highest healthy rung —
+Every execution tier of the service is a **rung** with its own circuit
+breaker, and each micro-batch runs on the highest healthy rung —
 
-1. ``parallel`` — the supervised multiprocess pool (present when the
-   service is configured with ``workers > 1``);
-2. ``batch`` — the in-process multi-target batch executor;
-3. ``sequential`` — one compiled search per query;
-4. ``cache-replay`` — answers **only** queries whose shortest-path tree is
+1. ``batch`` — the in-process multi-target batch executor;
+2. ``sequential`` — one compiled search per query;
+3. ``cache-replay`` — answers **only** queries whose shortest-path tree is
    already cached (present when the engines carry an SP-tree cache); misses
    are shed with :class:`~repro.exceptions.ServiceOverloadedError`.
 
@@ -24,11 +20,7 @@ Breaker semantics are classic: ``failure_threshold`` consecutive failures
 open a rung's breaker; while open, traffic skips the rung; after a bounded,
 doubling backoff one **probe** batch is allowed through (half-open) — its
 success re-closes the breaker, its failure re-opens with a doubled delay up
-to ``backoff_cap``.  The parallel rung is additionally health-scored from
-:class:`~repro.core.parallel.ExecutionReport` history: a degraded report
-(crashes, timeouts, fallbacks) counts as a strike even when the executor's
-own ladder recovered the answers, so the service stops *offering* work to a
-sick pool before requests start paying the recovery latency.
+to ``backoff_cap``.
 
 The bottom rung is always allowed to answer regardless of its breaker —
 a service with every breaker open still serves what it can serve.
@@ -40,12 +32,11 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 #: Canonical rung names, highest capability first.
-RUNG_PARALLEL = "parallel"
 RUNG_BATCH = "batch"
 RUNG_SEQUENTIAL = "sequential"
 RUNG_CACHE_REPLAY = "cache-replay"
 
-ALL_RUNGS = (RUNG_PARALLEL, RUNG_BATCH, RUNG_SEQUENTIAL, RUNG_CACHE_REPLAY)
+ALL_RUNGS = (RUNG_BATCH, RUNG_SEQUENTIAL, RUNG_CACHE_REPLAY)
 
 
 class CircuitBreaker:
@@ -118,7 +109,7 @@ class CircuitBreaker:
         self._probe_inflight = False
 
     def record_failure(self) -> None:
-        """A batch failed on this rung (or a health strike was scored)."""
+        """A batch failed on this rung."""
         self._probe_inflight = False
         if self._open_until is not None:
             # A failed recovery probe: re-open with a doubled delay.
@@ -152,11 +143,10 @@ class DegradationLadder:
     """Rung selection over per-rung circuit breakers.
 
     ``rungs`` is the ordered subset of :data:`ALL_RUNGS` this deployment
-    actually has (no parallel rung without workers, no cache-replay rung
-    without engine caches).  :meth:`select` returns the highest rung whose
-    breaker admits traffic; when every breaker is open the bottom rung
-    answers anyway — the ladder never refuses outright, it only narrows
-    what it can promise.
+    actually has (no cache-replay rung without engine caches).
+    :meth:`select` returns the highest rung whose breaker admits traffic;
+    when every breaker is open the bottom rung answers anyway — the ladder
+    never refuses outright, it only narrows what it can promise.
     """
 
     def __init__(
@@ -214,18 +204,6 @@ class DegradationLadder:
             breaker.record_success()
         else:
             breaker.record_failure()
-
-    def note_report(self, report) -> None:
-        """Health-score the parallel rung from an
-        :class:`~repro.core.parallel.ExecutionReport`.
-
-        A pool run that needed crashes/timeouts/respawns/fallbacks to
-        complete still *answered* — but it is evidence the pool is sick, so
-        it is charged as a strike without failing any request."""
-        if RUNG_PARALLEL not in self._breakers:
-            return
-        if report is not None and report.mode == "pool" and not report.clean:
-            self._breakers[RUNG_PARALLEL].record_failure()
 
     def snapshot(self) -> Dict[str, object]:
         """Per-rung breaker state plus selection counts."""

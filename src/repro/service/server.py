@@ -31,12 +31,12 @@ leave when the batch ahead of it completes: under saturation that would
 turn batching into one-query ping-pong whose rate follows the host's CPU
 speed, where the window makes batches of company at a steady rate.
 Each flush runs through the :class:`~repro.service.degradation.DegradationLadder`:
-the batch runs on the highest healthy rung — parallel pool, in-process
-batch, sequential compiled, cache-replay — descending on rung failure, with
-outcomes scored into the rungs' circuit breakers.  Engines are synchronous
-and their search arenas are **not** thread-safe, so every rung execution
-runs on a worker thread under a per-venue lock; concurrency comes from
-batching, not from racing searches.
+the batch runs on the highest healthy rung — in-process batch, sequential
+compiled, cache-replay — descending on rung failure, with outcomes scored
+into the rungs' circuit breakers.  Engines are synchronous and their search
+arenas are **not** thread-safe, so every rung execution runs on a worker
+thread under a per-venue lock; concurrency comes from batching, not from
+racing searches.
 
 Deadlines compose with batching conservatively: a micro-batch's shared
 budget is the *largest* remaining member budget (no budget at all if any
@@ -61,7 +61,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.deadline import SearchDeadline
 from repro.core.engine import ITSPQEngine
@@ -79,7 +79,6 @@ from repro.service.admission import AdmissionController
 from repro.service.degradation import (
     RUNG_BATCH,
     RUNG_CACHE_REPLAY,
-    RUNG_PARALLEL,
     RUNG_SEQUENTIAL,
     DegradationLadder,
 )
@@ -94,6 +93,7 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",
+    502: "Bad Gateway",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -139,10 +139,11 @@ async def read_request(
     byte has arrived; shared by the service and the shard router.
 
     Raises :class:`FramingError` (400) for a malformed request line, a
-    header line with no colon, or a ``Content-Length`` that is not a
-    non-negative integer or exceeds ``max_body_bytes``; and (501) for any
-    ``Transfer-Encoding`` (RFC 9112 §6: only ``Content-Length`` bodies are
-    read, so chunk bytes never linger on a keep-alive stream).
+    header line with no colon, a ``Content-Length`` that is not a
+    non-negative integer or exceeds ``max_body_bytes``, or two
+    ``Content-Length`` headers that disagree (RFC 9112 §6.3); and (501) for
+    any ``Transfer-Encoding`` (RFC 9112 §6: only ``Content-Length`` bodies
+    are read, so chunk bytes never linger on a keep-alive stream).
     """
     head = first + await reader.readuntil(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
@@ -150,7 +151,7 @@ async def read_request(
     if len(parts) < 3:
         raise FramingError(400, f"malformed request line: {lines[0][:64]!r}")
     http_method, path = parts[0].upper(), parts[1]
-    length = 0
+    length: Optional[int] = None
     for line in lines[1:]:
         if not line:
             continue  # the blank line that ends the head
@@ -166,11 +167,44 @@ async def read_request(
                 raise FramingError(
                     400, f"Content-Length must be a non-negative integer, got {value[:64]!r}"
                 )
-            length = int(value)
+            try:
+                declared = int(value)
+            except ValueError:  # more digits than int() converts: past any body limit
+                raise FramingError(400, f"Content-Length of {len(value)} digits is too large") from None
+            if length is not None and declared != length:
+                raise FramingError(400, f"conflicting Content-Length headers: {length} and {value[:64]}")
+            length = declared
+    length = length or 0
     if length > max_body_bytes:
         raise FramingError(400, f"Content-Length {length} exceeds the {max_body_bytes}-byte body limit")
     body = await reader.readexactly(length) if length else b""
     return http_method, path, body
+
+
+async def write_response(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: Union[bytes, Dict[str, Any]],
+    keep_alive: bool = True,
+) -> None:
+    """Write one HTTP/1.1 JSON response; shared by the service and the shard
+    router.  ``body`` is the encoded JSON bytes (a shard's answer relayed
+    verbatim) or a JSON-ready object to encode.  A client that went away is
+    not an error: there is nobody left to answer."""
+    if not isinstance(body, bytes):
+        body = json.dumps(body).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        f"\r\n"
+    ).encode("latin-1")
+    try:
+        writer.write(head + body)
+        await writer.drain()
+    except (ConnectionError, RuntimeError):
+        pass
 
 
 @dataclass
@@ -203,12 +237,6 @@ class ServiceConfig:
     drain_timeout_seconds:
         How long :meth:`ITSPQService.aclose` waits for in-flight handlers
         after the batch queue empties.
-    workers:
-        ``> 1`` adds the parallel-pool rung with that pool size.
-    parallel_options:
-        Passed through to
-        :meth:`~repro.core.engine.ITSPQEngine.parallel_executor` when the
-        parallel rung is built (``chunk_timeout``, ``fault_plan``, ...).
     breaker_failure_threshold / breaker_backoff_base / breaker_backoff_cap:
         The per-rung circuit-breaker tuning.
     breaker_clock:
@@ -231,8 +259,6 @@ class ServiceConfig:
     default_deadline_ms: Optional[float] = None
     client_timeout_seconds: float = 5.0
     drain_timeout_seconds: float = 10.0
-    workers: int = 1
-    parallel_options: Optional[Dict[str, Any]] = None
     breaker_failure_threshold: int = 3
     breaker_backoff_base: float = 0.5
     breaker_backoff_cap: float = 30.0
@@ -263,8 +289,6 @@ class ServiceConfig:
             raise ValueError(
                 f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
         if self.breaker_failure_threshold < 1:
             raise ValueError(
                 f"breaker_failure_threshold must be positive, got {self.breaker_failure_threshold}"
@@ -301,14 +325,10 @@ class ITSPQService:
             raise ValueError("the service needs at least one venue engine")
         self._engines: Dict[str, ITSPQEngine] = dict(engines)
         self._config = config if config is not None else ServiceConfig()
-        # One lock per venue: the search arenas are not thread-safe, and the
-        # supervised parallel executor is single-caller by design, so every
+        # One lock per venue: the search arenas are not thread-safe, so every
         # rung execution of a venue is serialised across worker threads.
         self._locks: Dict[str, threading.Lock] = {name: threading.Lock() for name in self._engines}
-        rungs: List[str] = []
-        if self._config.workers > 1:
-            rungs.append(RUNG_PARALLEL)
-        rungs.extend((RUNG_BATCH, RUNG_SEQUENTIAL))
+        rungs = [RUNG_BATCH, RUNG_SEQUENTIAL]
         if all(engine.cache_enabled for engine in self._engines.values()):
             rungs.append(RUNG_CACHE_REPLAY)
         self._ladder = DegradationLadder(
@@ -387,18 +407,11 @@ class ITSPQService:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Compile every venue (off-loop), arm the parallel rung's pools,
-        and bind the socket; idempotent."""
+        """Compile every venue (off-loop) and bind the socket; idempotent."""
         if self._server is not None:
             return
         for engine in self._engines.values():
             await asyncio.to_thread(engine.ensure_compiled)
-        if RUNG_PARALLEL in self._ladder.rungs:
-            options = self._config.parallel_options or {}
-            for engine in self._engines.values():
-                await asyncio.to_thread(
-                    engine.parallel_executor, self._config.workers, **options
-                )
         self._server = await asyncio.start_server(
             self._handle_client, self._config.host, self._config.port
         )
@@ -462,7 +475,7 @@ class ITSPQService:
                 except asyncio.TimeoutError:
                     self._metrics.received += 1
                     self._metrics.observe_outcome(408)
-                    await self._respond(
+                    await write_response(
                         writer,
                         408,
                         {"error": "request not received in time", "type": "ClientTimeout"},
@@ -472,7 +485,7 @@ class ITSPQService:
                 except FramingError as exc:
                     self._metrics.received += 1
                     self._metrics.observe_outcome(exc.status)
-                    await self._respond(writer, exc.status, exc.payload(), keep_alive=False)
+                    await write_response(writer, exc.status, exc.payload(), keep_alive=False)
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return  # disconnect or garbage framing: nothing to answer
@@ -488,27 +501,6 @@ class ITSPQService:
             except Exception:
                 pass
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        keep_alive: bool = True,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # the client went away; its pending slot is still released
-
     async def _dispatch(
         self, writer: asyncio.StreamWriter, http_method: str, path: str, body: bytes
     ) -> bool:
@@ -516,20 +508,20 @@ class ITSPQService:
         path = path.split("?", 1)[0]
         if path == "/query":
             if http_method != "POST":
-                await self._respond(writer, 405, {"error": "POST only", "type": "MethodNotAllowed"})
+                await write_response(writer, 405, {"error": "POST only", "type": "MethodNotAllowed"})
                 return True
             self._metrics.received += 1
             started = time.perf_counter()
             status, payload = await self._handle_query(body)
             self._metrics.observe_latency(time.perf_counter() - started)
             self._metrics.observe_outcome(status)
-            await self._respond(writer, status, payload)
+            await write_response(writer, status, payload)
             return True
         if http_method != "GET":
-            await self._respond(writer, 405, {"error": "GET only", "type": "MethodNotAllowed"})
+            await write_response(writer, 405, {"error": "GET only", "type": "MethodNotAllowed"})
             return True
         if path == "/healthz":
-            await self._respond(writer, 200, {"status": "alive", "draining": self._draining})
+            await write_response(writer, 200, {"status": "alive", "draining": self._draining})
             return True
         if path == "/readyz":
             ready = self._started and not self._draining
@@ -540,12 +532,12 @@ class ITSPQService:
                 "ladder": self._ladder.snapshot(),
                 "admission": self._admission.snapshot(),
             }
-            await self._respond(writer, 200 if ready else 503, payload)
+            await write_response(writer, 200 if ready else 503, payload)
             return True
         if path == "/metrics":
-            await self._respond(writer, 200, self._metrics_payload())
+            await write_response(writer, 200, self._metrics_payload())
             return True
-        await self._respond(writer, 404, {"error": f"no route {path}", "type": "NotFound"})
+        await write_response(writer, 404, {"error": f"no route {path}", "type": "NotFound"})
         return True
 
     def _metrics_payload(self) -> Dict[str, Any]:
@@ -705,7 +697,7 @@ class ITSPQService:
             rung = self._ladder.select()
             while True:
                 try:
-                    outcomes, report = await asyncio.to_thread(
+                    outcomes = await asyncio.to_thread(
                         self._execute_rung, engine, lock, venue, rung, method_name, members
                     )
                 except DeadlineExceededError as exc:
@@ -718,7 +710,7 @@ class ITSPQService:
                     # A malformed member poisons a shared group search; the
                     # sequential rung isolates it so the other members still
                     # answer.  Not a rung-health event.
-                    if rung in (RUNG_PARALLEL, RUNG_BATCH):
+                    if rung == RUNG_BATCH:
                         self._ladder.record(rung, True)
                         rung = RUNG_SEQUENTIAL
                         continue
@@ -736,8 +728,6 @@ class ITSPQService:
                     continue
                 else:
                     self._ladder.record(rung, True)
-                    if report is not None:
-                        self._ladder.note_report(report)
                     break
         answered = sum(1 for outcome in outcomes if isinstance(outcome, QueryResult))
         if answered:
@@ -758,24 +748,20 @@ class ITSPQService:
         rung: str,
         method_name: str,
         members: List[_Member],
-    ) -> Tuple[List[Any], Any]:
+    ) -> List[Any]:
         """Synchronous rung execution on a worker thread (venue serialised).
 
         Returns per-member outcomes (a :class:`QueryResult` or the typed
-        exception) plus the :class:`~repro.core.parallel.ExecutionReport`
-        of a parallel run; raises on rung-level failure."""
+        exception); raises on rung-level failure."""
         hook = self._config.rung_fault_hook
         if hook is not None:
             hook(rung, venue)
         queries = [member.query for member in members]
         with lock:
-            if rung == RUNG_PARALLEL:
-                results = engine.run_batch(queries, method_name, workers=self._config.workers)
-                return self._post_hoc_deadlines(members, results), engine.last_execution_report
             if rung == RUNG_BATCH:
                 group_deadline = self._group_deadline(members)
                 results = engine.run_batch(queries, method_name, deadline=group_deadline)
-                return self._post_hoc_deadlines(members, results), None
+                return self._post_hoc_deadlines(members, results)
             if rung == RUNG_SEQUENTIAL:
                 outcomes: List[Any] = []
                 for member in members:
@@ -785,7 +771,7 @@ class ITSPQService:
                         )
                     except (DeadlineExceededError, QueryError) as exc:
                         outcomes.append(exc)
-                return outcomes, None
+                return outcomes
             # cache-replay: answers hits, sheds misses — no search ever runs.
             outcomes = []
             for member in members:
@@ -802,7 +788,7 @@ class ITSPQService:
                     )
                 else:
                     outcomes.append(result)
-            return outcomes, None
+            return outcomes
 
     @staticmethod
     def _group_deadline(members: List[_Member]) -> Optional[SearchDeadline]:

@@ -50,21 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.metrics import aggregate_request_snapshots
-from repro.service.server import FramingError, parse_query_document, read_request
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+from repro.service.server import FramingError, parse_query_document, read_request, write_response
 
 #: Shard process states surfaced by ``/readyz`` and ``/metrics``.
 SHARD_STARTING = "starting"  #: spawned, waiting for its ``listening on`` line.
@@ -166,8 +152,8 @@ class ShardRouterConfig:
         and then for each SIGINTed worker to drain, before escalating.
     worker_args:
         Extra command-line arguments appended to every worker's
-        ``python -m repro.service`` invocation (``--cache``, ``--workers``,
-        ``--window-ms``, ...), so shard tuning is the single-process tuning.
+        ``python -m repro.service`` invocation (``--cache``, ``--window-ms``,
+        ...), so shard tuning is the single-process tuning.
     max_body_bytes:
         Client request bodies above this answer ``400``.
     """
@@ -697,7 +683,7 @@ class ShardRouter:
                 except asyncio.TimeoutError:
                     self._metrics.received += 1
                     self._metrics.client_timeouts += 1
-                    await self._respond_json(
+                    await write_response(
                         writer,
                         408,
                         {"error": "request not received in time", "type": "ClientTimeout"},
@@ -707,7 +693,7 @@ class ShardRouter:
                 except FramingError as exc:
                     self._metrics.received += 1
                     self._metrics.bad_requests += 1
-                    await self._respond_json(writer, exc.status, exc.payload(), keep_alive=False)
+                    await write_response(writer, exc.status, exc.payload(), keep_alive=False)
                     return
                 except (asyncio.IncompleteReadError, ConnectionError, asyncio.LimitOverrunError):
                     return
@@ -723,33 +709,6 @@ class ShardRouter:
             except Exception:
                 pass
 
-    async def _respond_raw(
-        self, writer: asyncio.StreamWriter, status: int, body: bytes, keep_alive: bool = True
-    ) -> None:
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass
-
-    async def _respond_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        keep_alive: bool = True,
-    ) -> None:
-        await self._respond_raw(
-            writer, status, json.dumps(payload).encode("utf-8"), keep_alive=keep_alive
-        )
-
     # -- routing ---------------------------------------------------------------
 
     async def _dispatch(
@@ -758,19 +717,19 @@ class ShardRouter:
         path = path.split("?", 1)[0]
         if path == "/query":
             if http_method != "POST":
-                await self._respond_json(
+                await write_response(
                     writer, 405, {"error": "POST only", "type": "MethodNotAllowed"}
                 )
                 return True
             self._metrics.received += 1
             status, payload = await self._route_query(body)
-            await self._respond_raw(writer, status, payload)
+            await write_response(writer, status, payload)
             return True
         if http_method != "GET":
-            await self._respond_json(writer, 405, {"error": "GET only", "type": "MethodNotAllowed"})
+            await write_response(writer, 405, {"error": "GET only", "type": "MethodNotAllowed"})
             return True
         if path == "/healthz":
-            await self._respond_json(
+            await write_response(
                 writer,
                 200,
                 {
@@ -791,12 +750,12 @@ class ShardRouter:
                 "venues": sorted(self._venue_to_shard),
                 "shards": {name: handle.snapshot() for name, handle in self._handles.items()},
             }
-            await self._respond_json(writer, 200 if ready else 503, payload)
+            await write_response(writer, 200 if ready else 503, payload)
             return True
         if path == "/metrics":
-            await self._respond_json(writer, 200, await self._metrics_payload())
+            await write_response(writer, 200, await self._metrics_payload())
             return True
-        await self._respond_json(writer, 404, {"error": f"no route {path}", "type": "NotFound"})
+        await write_response(writer, 404, {"error": f"no route {path}", "type": "NotFound"})
         return True
 
     async def _metrics_payload(self) -> Dict[str, Any]:

@@ -20,7 +20,6 @@ from repro.testing.faults import (
     InjectedWorkerError,
     drip_feed_request,
     flood_requests,
-    sigkill_mid_request_plan,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "InjectedWorkerError",
     "drip_feed_request",
     "flood_requests",
-    "sigkill_mid_request_plan",
 ]

@@ -221,16 +221,6 @@ def fire_chunk_fault(spec: FaultSpec, chunk_id: int, attempt: int) -> None:
 # replayable sabotage.
 
 
-def sigkill_mid_request_plan(attempts_below: int = 1) -> FaultPlan:
-    """A plan that SIGKILLs the worker holding **every** chunk of the first
-    ``attempts_below`` dispatch attempts — the service-level "worker dies
-    mid-request" fault.  With the default, the supervised retry recovers on
-    the respawned pool; a large value defeats every retry and forces the
-    executor's in-process rung (both of which the service must hide from
-    the client behind a bit-identical answer)."""
-    return FaultPlan(faults=(FaultSpec(CRASH, attempts_below=attempts_below),))
-
-
 class FlakyRung:
     """A ``rung_fault_hook`` that fails one named ladder rung a set number
     of times, then heals — the deterministic driver for circuit-breaker

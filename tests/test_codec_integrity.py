@@ -15,14 +15,20 @@ re-stamped checksums must still fail with a typed
 ``IndexError`` or a geometry error from deep inside the decoder.
 """
 
+import os
 import random
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from zlib import crc32
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.exceptions import CorruptPayloadError, SerializationError
 from repro.io.compiled_codec import (
     SECTION_NAMES,
@@ -59,6 +65,37 @@ def restamped(payload: bytes, section: str, offset: int, replacement: bytes) -> 
     damaged[start + offset : start + offset + len(replacement)] = replacement
     damaged[start - _U32.size : start] = _U32.pack(crc32(bytes(damaged[start:end])))
     return patch_trailing_crc(bytes(damaged))
+
+
+def with_section(payload: bytes, section: str, data: bytes) -> bytes:
+    """``payload`` with one section's data replaced whole (its length may
+    change), every length word and CRC re-stamped."""
+    spans = payload_section_spans(payload)
+    body = _U32.pack(len(spans))
+    for name, start, end in spans:
+        content = data if name == section else payload[start:end]
+        body += _U32.pack(len(content)) + _U32.pack(crc32(content)) + content
+    framed = payload[: _HEADER.size] + _U32.pack(len(body)) + body
+    return framed + _U32.pack(crc32(framed))
+
+
+#: Loads a payload from stdin in a child process whose address space is
+#: capped, so a decoder that walks a huge floor span fails fast on the cap
+#: instead of hanging the suite or exhausting the host's memory.
+_CAPPED_LOAD = textwrap.dedent(
+    """
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from repro.exceptions import SerializationError
+    from repro.io.compiled_codec import compiled_graph_from_bytes
+    try:
+        compiled_graph_from_bytes(sys.stdin.buffer.read())
+    except SerializationError as exc:
+        print(exc)
+    else:
+        sys.exit("the payload loaded")
+    """
+)
 
 
 def with_tenth_section(payload: bytes, version: int) -> bytes:
@@ -229,6 +266,9 @@ class TestStructuralValidation:
             ("leaveable-doors", 4, _U32.pack(9999), "door index 9999"),
             # [spec count][first spec's partition index]
             ("point-location", 4, _U32.pack(9999), "partition index 9999"),
+            # [start count][first start][second start]...
+            ("interval-bitsets", 4, struct.pack("<d", float("nan")), "interval starts"),
+            ("interval-bitsets", 12, struct.pack("<d", 0.0), "interval starts"),
         ],
         ids=[
             "adjacency-partition",
@@ -237,6 +277,8 @@ class TestStructuralValidation:
             "ati-decreasing",
             "leaveable-door",
             "locate-partition",
+            "bitsets-nan",
+            "bitsets-repeated",
         ],
     )
     def test_crafted_section_is_named(self, payload, section, offset, replacement, problem):
@@ -245,6 +287,33 @@ class TestStructuralValidation:
             compiled_graph_from_bytes(blob)
         assert section in str(excinfo.value)
         assert not isinstance(excinfo.value, CorruptPayloadError)
+
+    def test_empty_interval_bitsets_are_named(self, payload):
+        # No interval at all: every ITG/A lookup would index past the end.
+        blob = with_section(payload, "interval-bitsets", _U32.pack(0) + _U32.pack(0))
+        with pytest.raises(SerializationError, match="interval-bitsets.*interval starts"):
+            compiled_graph_from_bytes(blob)
+
+    def test_floor_span_past_the_venue_is_named_without_a_hang(self, payload):
+        # The example venue is one floor; give its first point-location row a
+        # span of 2**31 floors.  [count][pidx][floor][spans flag][...]
+        spans = {name: (start, end) for name, start, end in payload_section_spans(payload)}
+        start, end = spans["point-location"]
+        section = payload[start:end]
+        assert section[12] == 0, "the first row already carries a span"
+        spanned = section[:12] + b"\x01" + struct.pack("<ii", 0, 2**31 - 1) + section[13:]
+        blob = with_section(payload, "point-location", spanned)
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", _CAPPED_LOAD],
+            input=blob,
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()[-500:]
+        message = child.stdout.decode()
+        assert "point-location" in message and "floor span (0, 2147483647)" in message
 
     @staticmethod
     def first_edge_group(payload):

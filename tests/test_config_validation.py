@@ -59,7 +59,6 @@ class TestParallelExecutorOptions:
         [
             ({"workers": 0}, "workers"),
             ({"workers": -2}, "workers"),
-            ({"chunks_per_worker": 0}, "chunks_per_worker"),
             ({"max_chunk_retries": -1}, "max_chunk_retries"),
             ({"chunk_timeout": 0.0}, "chunk_timeout"),
             ({"chunk_timeout": -5.0}, "chunk_timeout"),
@@ -104,7 +103,7 @@ class TestServiceConfig:
             ({"default_deadline_ms": -10.0}, "default_deadline_ms"),
             ({"client_timeout_seconds": 0.0}, "client_timeout_seconds"),
             ({"drain_timeout_seconds": -1.0}, "drain_timeout_seconds"),
-            ({"workers": 0}, "workers"),
+            ({"client_timeout_seconds": float("nan")}, "client_timeout_seconds"),
             ({"breaker_failure_threshold": 0}, "breaker_failure_threshold"),
             ({"breaker_backoff_base": -0.5}, "breaker_backoff_base"),
             ({"breaker_backoff_cap": -1.0}, "breaker_backoff_cap"),

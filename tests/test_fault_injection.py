@@ -27,11 +27,6 @@ from test_compiled_parity import assert_parity
 from repro.core.engine import ITSPQEngine
 from repro.core.parallel import ParallelBatchExecutor
 from repro.core.query import ITSPQuery
-from repro.exceptions import (
-    ChunkTimeoutError,
-    ParallelExecutionError,
-    WorkerCrashError,
-)
 from repro.testing.faults import (
     CORRUPT_PAYLOAD,
     CRASH,
@@ -235,53 +230,6 @@ class TestBrokenStartup:
         assert_oracle_parity(oracle, results)
         assert report.chunks_fallback == report.chunks_total
         assert report.chunks_completed == 0
-
-
-class TestFallbackDisabled:
-    def test_persistent_crash_raises_worker_crash_error(
-        self, example_itgraph, example_points
-    ):
-        queries = chaos_workload(example_points, times=("9:00",))
-        plan = FaultPlan(seed=11, faults=(FaultSpec(CRASH, attempts_below=99),))
-        with pytest.raises(WorkerCrashError):
-            run_with_plan(
-                example_itgraph,
-                queries,
-                plan,
-                max_chunk_retries=1,
-                in_process_fallback=False,
-            )
-
-    def test_persistent_timeout_raises_chunk_timeout_error(
-        self, example_itgraph, example_points
-    ):
-        queries = chaos_workload(example_points, times=("9:00",))
-        plan = FaultPlan(
-            seed=12, faults=(FaultSpec(DELAY, attempts_below=99, delay_seconds=5.0),)
-        )
-        with pytest.raises(ChunkTimeoutError):
-            run_with_plan(
-                example_itgraph,
-                queries,
-                plan,
-                max_chunk_retries=1,
-                chunk_timeout=0.25,
-                in_process_fallback=False,
-            )
-
-    def test_taxonomy_is_catchable_as_parallel_execution_error(
-        self, example_itgraph, example_points
-    ):
-        queries = chaos_workload(example_points, times=("9:00",))
-        plan = FaultPlan(seed=13, faults=(FaultSpec(CRASH, attempts_below=99),))
-        with pytest.raises(ParallelExecutionError):
-            run_with_plan(
-                example_itgraph,
-                queries,
-                plan,
-                max_chunk_retries=0,
-                in_process_fallback=False,
-            )
 
 
 class TestDeterminism:

@@ -120,3 +120,17 @@ def test_transfer_encoding_answers_501(serve):
 def test_oversized_content_length_answers_400(serve):
     raw = b"POST /query HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"
     assert_refused(serve, raw, 400, "BadRequest", "Content-Length")
+
+
+def test_conflicting_content_lengths_answer_400(serve):
+    # RFC 9112 §6.3: differing Content-Length values are an unrecoverable
+    # framing error, not a choice between them.
+    raw = b"POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}"
+    assert_refused(serve, raw, 400, "BadRequest", "Content-Length")
+
+
+def test_content_length_too_long_to_convert_answers_400(serve):
+    # More digits than int() converts must still be a typed answer, not an
+    # unhandled ValueError and a silent close.
+    raw = b"POST /query HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+    assert_refused(serve, raw, 400, "BadRequest", "Content-Length")

@@ -14,7 +14,7 @@ import pytest
 from test_compiled_parity import METHODS, assert_parity
 
 from repro.core.engine import ITSPQEngine
-from repro.core.parallel import ParallelBatchExecutor, default_worker_count
+from repro.core.parallel import ParallelBatchExecutor, _close_live_executors, default_worker_count
 from repro.core.query import ITSPQuery
 from repro.datasets.simple_venues import build_corridor_venue
 from repro.exceptions import QueryError
@@ -215,3 +215,23 @@ class TestExecutorMechanics:
             results = executor.run_batch(queries, "synchronous")
             assert all(result is not None for result in results)
         assert executor._pool is None
+
+
+class TestAtexitGuard:
+    def test_guard_sweep_leaves_the_engine_usable(self, example_itgraph, example_points):
+        """The executors' ``atexit`` guard may fire at any time in an
+        embedding process; the engine must survive the sweep — its pool
+        restarts lazily on the next parallel batch."""
+        engine = ITSPQEngine(example_itgraph)
+        queries = example_workload(example_points, ["9:00", "14:00"])
+        try:
+            first = engine.run_batch(queries, method="synchronous", workers=2)
+            assert engine.last_execution_report.mode == "pool"
+            _close_live_executors()
+            assert engine.parallel_executor(2)._pool is None
+            second = engine.run_batch(queries, method="synchronous", workers=2)
+            assert engine.last_execution_report.mode == "pool"
+            for result_a, result_b in zip(first, second):
+                assert_parity(result_a, result_b)
+        finally:
+            engine.close()

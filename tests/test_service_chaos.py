@@ -3,8 +3,6 @@ leave client-visible answers bit-identical to the sequential oracle.
 
 The faults (all deterministic, no timing races):
 
-* a worker process SIGKILLed mid-request on the parallel rung — the
-  supervised retry hides it;
 * every rung forced in turn (by tripping the breakers above it) — each rung
   answers bit-identically, including cache-replay;
 * a flaky rung tripping its circuit breaker — the ladder descends, then
@@ -27,16 +25,13 @@ from repro.service import ITSPQService, ServiceConfig
 from repro.service.degradation import (
     RUNG_BATCH,
     RUNG_CACHE_REPLAY,
-    RUNG_PARALLEL,
     RUNG_SEQUENTIAL,
 )
-from repro.testing import FlakyRung, drip_feed_request, flood_requests, sigkill_mid_request_plan
+from repro.testing import FlakyRung, drip_feed_request, flood_requests
 
 from tests._service_http import (
-    BatchGate,
     assert_matches_oracle,
     get,
-    post_behind_held_batch,
     post_query,
     query_body,
     raw_request,
@@ -61,58 +56,6 @@ def oracle(example_itgraph, example_points):
     return engine.query(example_points["p3"], example_points["p4"], "9:00")
 
 
-class TestWorkerDeathMidRequest:
-    def test_sigkilled_worker_is_invisible_to_the_client(
-        self, example_itgraph, example_points, oracle
-    ):
-        p3, p4 = example_points["p3"], example_points["p4"]
-        engine = ITSPQEngine(example_itgraph)
-        oracle_afternoon = ITSPQEngine(example_itgraph).query(p4, p3, "14:00")
-        gate = BatchGate()
-        service = ITSPQService(
-            {"example": engine},
-            ServiceConfig(
-                workers=2,
-                # The two queries must share one micro-batch: a single-group
-                # plan stays in-process and never exercises the pool.  They
-                # queue behind a held one-query batch, which stays in-process
-                # and leaves the fault plan to them, and leave together as
-                # soon as both are buffered (``max_batch``); the window is
-                # far longer than the test.
-                batch_window_ms=30_000.0,
-                max_batch=2,
-                rung_fault_hook=gate,
-                parallel_options={
-                    "fault_plan": sigkill_mid_request_plan(),
-                    "backoff_base": 0.0,
-                },
-            ),
-        )
-
-        async def body(service):
-            (status, _), [(status_a, payload_a), (status_b, payload_b)] = (
-                await post_behind_held_batch(
-                    service,
-                    gate,
-                    query_body(p3, p4),
-                    [query_body(p3, p4), query_body(p4, p3, time="14:00")],
-                )
-            )
-            assert status == 200
-            assert status_a == 200 and status_b == 200
-            assert payload_a["rung"] == RUNG_PARALLEL
-            assert payload_b["rung"] == RUNG_PARALLEL
-            assert_matches_oracle(payload_a, oracle)
-            assert_matches_oracle(payload_b, oracle_afternoon)
-            # The supervised pool really did lose a worker and recover.
-            report = engine.last_execution_report
-            assert report is not None and report.mode == "pool"
-            assert report.worker_crashes >= 1
-            assert not report.clean
-
-        run_service_test(service, body)
-
-
 class TestForcedRungParity:
     def _trip(self, service: ITSPQService, rung: str) -> None:
         for _ in range(service.config.breaker_failure_threshold):
@@ -123,16 +66,11 @@ class TestForcedRungParity:
         engine = ITSPQEngine(example_itgraph, cache=CacheConfig(mode="eager"))
         service = ITSPQService(
             {"example": engine},
-            ServiceConfig(workers=2, batch_window_ms=0.0, breaker_backoff_base=3600.0),
+            ServiceConfig(batch_window_ms=0.0, breaker_backoff_base=3600.0),
         )
 
         async def body(service):
-            assert service.ladder.rungs == [
-                RUNG_PARALLEL,
-                RUNG_BATCH,
-                RUNG_SEQUENTIAL,
-                RUNG_CACHE_REPLAY,
-            ]
+            assert service.ladder.rungs == [RUNG_BATCH, RUNG_SEQUENTIAL, RUNG_CACHE_REPLAY]
             for forced in service.ladder.rungs:
                 status, payload = await post_query(
                     service.host, service.port, query_body(p3, p4)

@@ -1,5 +1,4 @@
-"""Graceful lifecycle: drain-then-close semantics, idempotent shutdown, and
-peaceful coexistence with the executors' ``atexit`` guard.
+"""Graceful lifecycle: drain-then-close semantics and idempotent shutdown.
 
 The drain contract: queries admitted before ``aclose`` are answered, not
 dropped — the buffers are flushed, in-flight batches finish, and only then
@@ -15,17 +14,9 @@ import time
 import pytest
 
 from repro.core.engine import ITSPQEngine
-from repro.core.parallel import _close_live_executors
 from repro.service import ITSPQService, ServiceConfig
-from repro.service.degradation import RUNG_PARALLEL
 
-from tests._service_http import (
-    BatchGate,
-    assert_matches_oracle,
-    post_behind_held_batch,
-    post_query,
-    query_body,
-)
+from tests._service_http import assert_matches_oracle, post_query, query_body
 
 
 class TestDrain:
@@ -121,55 +112,5 @@ class TestIdempotence:
 
         async def scenario():
             await service.aclose()  # never started: still clean
-
-        asyncio.run(scenario())
-
-
-class TestAtexitGuard:
-    def test_guard_sweep_does_not_kill_a_live_service(self, example_itgraph, example_points):
-        """The executors' ``atexit`` guard may fire at any time in an
-        embedding process; a service with a parallel rung must survive the
-        sweep — the pool restarts lazily on the next parallel batch."""
-        p3, p4 = example_points["p3"], example_points["p4"]
-        engine = ITSPQEngine(example_itgraph)
-        oracle_morning = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
-        oracle_afternoon = ITSPQEngine(example_itgraph).query(p4, p3, "14:00")
-        gate = BatchGate()
-        service = ITSPQService(
-            {"example": engine},
-            ServiceConfig(
-                workers=2, batch_window_ms=30_000.0, max_batch=2, rung_fault_hook=gate
-            ),
-        )
-
-        async def both():
-            # The pair must share one two-group batch to reach the pool: it
-            # queues behind a held one-query batch and leaves together as
-            # soon as both are buffered (``max_batch``; the window is far
-            # longer than the test).
-            (status, _), outcomes = await post_behind_held_batch(
-                service,
-                gate,
-                query_body(p3, p4),
-                [query_body(p3, p4), query_body(p4, p3, time="14:00")],
-            )
-            assert status == 200
-            return outcomes
-
-        async def scenario():
-            await service.start()
-            for (status_a, payload_a), (status_b, payload_b) in (await both(),):
-                assert status_a == 200 and payload_a["rung"] == RUNG_PARALLEL
-                assert status_b == 200 and payload_b["rung"] == RUNG_PARALLEL
-            # The guard sweeps every live pool out from under the service...
-            await asyncio.to_thread(_close_live_executors)
-            # ...and the next batch that reaches the pool starts a fresh one
-            # and answers bit-identically.
-            (status_a, payload_a), (status_b, payload_b) = await both()
-            assert status_a == 200 and payload_a["rung"] == RUNG_PARALLEL
-            assert status_b == 200 and payload_b["rung"] == RUNG_PARALLEL
-            assert_matches_oracle(payload_a, oracle_morning)
-            assert_matches_oracle(payload_b, oracle_afternoon)
-            await service.aclose()
 
         asyncio.run(scenario())
