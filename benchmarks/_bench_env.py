@@ -13,47 +13,13 @@ processing only, never data generation.
 from __future__ import annotations
 
 import os
-import platform
-import subprocess
-import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bench.experiments import (
     BenchmarkEnvironment,
     ExperimentScale,
     build_environment,
 )
-
-
-def _git_revision() -> Optional[str]:
-    """Short revision of the working tree, or ``None`` outside a checkout."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    revision = completed.stdout.strip()
-    return revision if completed.returncode == 0 and revision else None
-
-
-def bench_environment() -> Dict[str, Any]:
-    """Provenance block shared by every ``BENCH_*.json`` writer.
-
-    Records when, on what, and from which revision a benchmark record was
-    produced, so perf trajectories stay comparable across machines and
-    checkouts.
-    """
-    return {
-        "created_unix": time.time(),
-        "git_rev": _git_revision(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-    }
 
 
 def bench_scale() -> ExperimentScale:

@@ -29,10 +29,8 @@ from repro.bench.experiments import (
     experiment_ablation_partition_once,
 )
 from repro.bench.harness import (
-    BatchThroughputMeasurement,
     ExperimentResult,
     QuerySetMeasurement,
-    run_batch_query_set,
     run_query_set,
 )
 from repro.bench.memory import deep_sizeof, measure_peak_memory
@@ -50,9 +48,7 @@ __all__ = [
     "experiment_ablation_partition_once",
     "ExperimentResult",
     "QuerySetMeasurement",
-    "BatchThroughputMeasurement",
     "run_query_set",
-    "run_batch_query_set",
     "deep_sizeof",
     "measure_peak_memory",
     "format_experiment",

@@ -118,69 +118,6 @@ def run_query_set(
 
 
 @dataclass
-class BatchThroughputMeasurement:
-    """Whole-workload throughput of one query set under one execution mode.
-
-    Unlike :class:`QuerySetMeasurement` (per-query latency via the engine's
-    own timer), this measures the wall time of answering the *entire* set in
-    one call — the quantity batch execution optimises.  ``best_seconds`` (the
-    minimum over repetitions) is the least noisy estimator on a busy machine
-    and is what throughput gates should compare.
-    """
-
-    method: str
-    queries: int
-    repetitions: int
-    best_seconds: float
-    mean_seconds: float
-
-    @property
-    def queries_per_second(self) -> float:
-        """Workload size divided by the best whole-set wall time."""
-        return self.queries / self.best_seconds if self.best_seconds > 0 else float("inf")
-
-
-def run_batch_query_set(
-    engine: ITSPQEngine,
-    queries: Sequence[ITSPQuery],
-    method: MethodLike,
-    repetitions: int = 10,
-    batch: bool = True,
-    warmup: int = 1,
-    workers: Optional[int] = None,
-) -> BatchThroughputMeasurement:
-    """Measure whole-workload wall time of ``engine.run_batch``.
-
-    ``batch=True`` measures the planned multi-target executor, ``batch=False``
-    the sequential one-search-per-query loop — the pair quantifies the batch
-    speedup on identical workloads (answers are bit-identical either way).
-    ``workers=N`` measures the multiprocess executor; the warmup run then
-    also absorbs pool startup and index hand-off, so the timed repetitions
-    see a hot pool (the steady state a service runs in).
-    """
-    if not queries:
-        raise ValueError("query set must not be empty")
-    queries = list(queries)
-    method_label: Optional[str] = None
-    for _ in range(max(warmup, 0)):
-        results = engine.run_batch(queries, method=method, batch=batch, workers=workers)
-        method_label = results[-1].method_label
-    times: List[float] = []
-    for _ in range(max(repetitions, 1)):
-        started = time.perf_counter()
-        results = engine.run_batch(queries, method=method, batch=batch, workers=workers)
-        times.append(time.perf_counter() - started)
-        method_label = results[-1].method_label
-    return BatchThroughputMeasurement(
-        method=method_label or str(method),
-        queries=len(queries),
-        repetitions=len(times),
-        best_seconds=min(times),
-        mean_seconds=statistics.fmean(times),
-    )
-
-
-@dataclass
 class ExperimentResult:
     """Result of one experiment (one paper figure): parameters and series rows."""
 

@@ -87,10 +87,11 @@ coordinates — deterministically, so chaos runs replay exactly.  Production
 pools (``fault_plan=None``) never import :mod:`repro.testing`.
 
 On a single-core host the pool only adds IPC overhead; sizing the pool is
-the caller's job (``benchmarks/bench_parallel_scaling.py`` measures the
-scaling curve and records the host's usable CPU count alongside it).  The
-query service does not use the pool: its micro-batches are too small to pay
-for the hand-off, and its shard processes are its process-level parallelism.
+the caller's job (perfbench's traced run reports ``parallel.speedup``, a
+2-worker pool over the in-process executor, next to the host's ``nproc``).
+The query service does not use the pool: its micro-batches are too small to
+pay for the hand-off, and its shard processes are its process-level
+parallelism.
 """
 
 from __future__ import annotations

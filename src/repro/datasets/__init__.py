@@ -5,7 +5,6 @@ from repro.datasets.example_floorplan import (
     build_example_itgraph,
     build_example_schedule,
     build_example_space,
-    example_fanout_endpoints,
     example_query_points,
 )
 from repro.datasets.simple_venues import (
@@ -19,7 +18,6 @@ __all__ = [
     "build_example_schedule",
     "build_example_itgraph",
     "example_query_points",
-    "example_fanout_endpoints",
     "build_two_room_venue",
     "build_corridor_venue",
 ]

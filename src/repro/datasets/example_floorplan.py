@@ -28,7 +28,7 @@ suite.  The distance-matrix values shown for ``v16`` in Figure 2 (2 m / 4 m /
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.itgraph import ITGraph, build_itgraph
 from repro.geometry.point import IndoorPoint
@@ -164,29 +164,3 @@ def example_query_points() -> Dict[str, IndoorPoint]:
         "p4": IndoorPoint(39.0, 11.0, 0),  # inside hallway v13
     }
 
-
-def example_fanout_endpoints(
-    itgraph: Optional[ITGraph] = None,
-) -> Tuple[List[IndoorPoint], List[IndoorPoint]]:
-    """``(sources, targets)`` of the fan-out workload on the running example.
-
-    Sources are the four query points; targets are the sources plus an
-    interior point of every public partition, so each source fans out across
-    the whole venue — the many-users-few-entrances shape batch execution is
-    built for.  Shared by the batch throughput benchmark and the perf gate so
-    both always measure the same workload.
-    """
-    if itgraph is None:
-        itgraph = build_example_itgraph()
-    points = example_query_points()
-    sources = [points[name] for name in sorted(points)]
-    targets = list(sources)
-    for partition in itgraph.space.iter_partitions():
-        record = itgraph.partition_record(partition.partition_id)
-        if record.is_private or record.is_outdoor or partition.polygon is None:
-            continue
-        center = partition.polygon.bounding_box.center
-        candidate = IndoorPoint(center.x, center.y, partition.floor)
-        if partition.contains_point(candidate):
-            targets.append(candidate)
-    return sources, targets

@@ -32,7 +32,7 @@ robustness machinery:
 Every rung answers **bit-identically** to the sequential oracle (the
 repository's standing parity invariant); degradation changes latency and
 availability, never answers.  ``python -m repro.service`` runs a server;
-``benchmarks/bench_service_load.py`` drives it with open-loop load.
+``perfbench/run.py`` drives it with open-loop load.
 """
 
 from repro.service.admission import AdmissionController

@@ -28,6 +28,7 @@ a service with every breaker open still serves what it can serve.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -63,10 +64,10 @@ class CircuitBreaker:
     ):
         if failure_threshold < 1:
             raise ValueError(f"failure_threshold must be positive, got {failure_threshold}")
-        if backoff_base < 0:
-            raise ValueError(f"backoff_base must be non-negative, got {backoff_base}")
-        if backoff_cap < 0:
-            raise ValueError(f"backoff_cap must be non-negative, got {backoff_cap}")
+        if not (math.isfinite(backoff_base) and backoff_base >= 0):
+            raise ValueError(f"backoff_base must be finite and non-negative, got {backoff_base}")
+        if not (math.isfinite(backoff_cap) and backoff_cap >= 0):
+            raise ValueError(f"backoff_cap must be finite and non-negative, got {backoff_cap}")
         self.failure_threshold = int(failure_threshold)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)

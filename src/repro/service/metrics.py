@@ -3,10 +3,7 @@
 Deliberately dependency-free: a bounded reservoir of recent request
 latencies (newest-wins ring buffer, so percentiles reflect the current
 regime rather than the whole process lifetime) plus plain counters keyed by
-outcome and by degradation rung.  The load-generator benchmark reads the
-same snapshot shape it writes to ``BENCH_service.json``, so the service's
-self-reported numbers and the bench's externally-measured ones line up
-field for field.
+outcome and by degradation rung.
 """
 
 from __future__ import annotations

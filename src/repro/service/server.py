@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -267,8 +268,8 @@ class ServiceConfig:
     max_body_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be non-negative, got {self.batch_window_ms}")
+        if not (math.isfinite(self.batch_window_ms) and self.batch_window_ms >= 0):
+            raise ValueError(f"batch_window_ms must be finite and non-negative, got {self.batch_window_ms}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
         if self.max_pending < 1:
@@ -285,21 +286,21 @@ class ServiceConfig:
             raise ValueError(
                 f"client_timeout_seconds must be positive, got {self.client_timeout_seconds}"
             )
-        if self.drain_timeout_seconds < 0:
+        if not (math.isfinite(self.drain_timeout_seconds) and self.drain_timeout_seconds >= 0):
             raise ValueError(
-                f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
+                f"drain_timeout_seconds must be finite and non-negative, got {self.drain_timeout_seconds}"
             )
         if self.breaker_failure_threshold < 1:
             raise ValueError(
                 f"breaker_failure_threshold must be positive, got {self.breaker_failure_threshold}"
             )
-        if self.breaker_backoff_base < 0:
+        if not (math.isfinite(self.breaker_backoff_base) and self.breaker_backoff_base >= 0):
             raise ValueError(
-                f"breaker_backoff_base must be non-negative, got {self.breaker_backoff_base}"
+                f"breaker_backoff_base must be finite and non-negative, got {self.breaker_backoff_base}"
             )
-        if self.breaker_backoff_cap < 0:
+        if not (math.isfinite(self.breaker_backoff_cap) and self.breaker_backoff_cap >= 0):
             raise ValueError(
-                f"breaker_backoff_cap must be non-negative, got {self.breaker_backoff_cap}"
+                f"breaker_backoff_cap must be finite and non-negative, got {self.breaker_backoff_cap}"
             )
         if self.max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be positive, got {self.max_body_bytes}")
@@ -565,7 +566,7 @@ class ITSPQService:
             }
         try:
             venue, method_name, query, deadline = self._parse_query(body)
-        except (ReproError, ValueError, TypeError, KeyError) as exc:
+        except (ReproError, ValueError, TypeError, KeyError, OverflowError) as exc:
             return 400, {"error": str(exc) or exc.__class__.__name__, "type": type(exc).__name__}
         try:
             self._admission.admit()

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import signal
 import sys
@@ -192,19 +193,19 @@ class ShardRouterConfig:
             raise ValueError(
                 f"startup_timeout_seconds must be positive, got {self.startup_timeout_seconds}"
             )
-        if self.respawn_backoff_base < 0:
+        if not (math.isfinite(self.respawn_backoff_base) and self.respawn_backoff_base >= 0):
             raise ValueError(
-                f"respawn_backoff_base must be non-negative, got {self.respawn_backoff_base}"
+                f"respawn_backoff_base must be finite and non-negative, got {self.respawn_backoff_base}"
             )
-        if self.respawn_backoff_cap < 0:
+        if not (math.isfinite(self.respawn_backoff_cap) and self.respawn_backoff_cap >= 0):
             raise ValueError(
-                f"respawn_backoff_cap must be non-negative, got {self.respawn_backoff_cap}"
+                f"respawn_backoff_cap must be finite and non-negative, got {self.respawn_backoff_cap}"
             )
         if self.max_respawns is not None and self.max_respawns < 1:
             raise ValueError(f"max_respawns must be positive or None, got {self.max_respawns}")
-        if self.drain_timeout_seconds < 0:
+        if not (math.isfinite(self.drain_timeout_seconds) and self.drain_timeout_seconds >= 0):
             raise ValueError(
-                f"drain_timeout_seconds must be non-negative, got {self.drain_timeout_seconds}"
+                f"drain_timeout_seconds must be finite and non-negative, got {self.drain_timeout_seconds}"
             )
         if self.max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be positive, got {self.max_body_bytes}")
@@ -395,8 +396,8 @@ class ShardRouter:
 
     async def aclose(self) -> None:
         """Drain, then close: stop admitting, wait for in-flight proxies,
-        SIGINT every worker and wait for its graceful drain, close the
-        socket and the pools.  Idempotent."""
+        close the idle shard connections, SIGINT every worker and wait for
+        its graceful drain, then close the socket.  Idempotent."""
         if self._closed:
             return
         self._draining = True
@@ -412,6 +413,10 @@ class ShardRouter:
                     await handle.supervisor
                 except (asyncio.CancelledError, Exception):
                     pass
+        # Idle pooled connections go first: a shard drains by waiting for its
+        # open connections, and would wait out its client timeout on these.
+        for handle in self._handles.values():
+            self._discard_idle(handle)
         await self._stop_workers()
         if self._server is not None:
             self._server.close()
@@ -420,8 +425,6 @@ class ShardRouter:
             except Exception:
                 pass
             self._server = None
-        for handle in self._handles.values():
-            self._discard_idle(handle)
         self._closed = True
 
     async def _stop_workers(self) -> None:

@@ -108,6 +108,11 @@ class TestServiceConfig:
             ({"breaker_backoff_base": -0.5}, "breaker_backoff_base"),
             ({"breaker_backoff_cap": -1.0}, "breaker_backoff_cap"),
             ({"max_body_bytes": 0}, "max_body_bytes"),
+            ({"batch_window_ms": float("nan")}, "batch_window_ms"),
+            ({"drain_timeout_seconds": float("nan")}, "drain_timeout_seconds"),
+            ({"drain_timeout_seconds": float("inf")}, "drain_timeout_seconds"),
+            ({"breaker_backoff_base": float("nan")}, "breaker_backoff_base"),
+            ({"breaker_backoff_cap": float("nan")}, "breaker_backoff_cap"),
         ],
     )
     def test_rejects_bad_numbers_naming_the_field(self, kwargs, field):
@@ -141,6 +146,9 @@ class TestCircuitBreaker:
             ({"failure_threshold": 0}, "failure_threshold"),
             ({"backoff_base": -1.0}, "backoff_base"),
             ({"backoff_cap": -1.0}, "backoff_cap"),
+            ({"backoff_base": float("nan")}, "backoff_base"),
+            ({"backoff_cap": float("nan")}, "backoff_cap"),
+            ({"backoff_cap": float("-inf")}, "backoff_cap"),
         ],
     )
     def test_rejects_bad_numbers_naming_the_field(self, kwargs, field):

@@ -262,14 +262,37 @@ class TestHttpSurface:
             {"source": [26, 5], "target": [9, 10], "time": "9:00", "venue": "atlantis"},
             {"source": [26, 5], "target": [9, 10], "time": "9:00", "deadline_ms": -5},
             [1, 2, 3],  # not an object
+            # Values int() or float() cannot convert: they raise OverflowError.
+            {"source": [1, 1, float("inf")], "target": [9, 10], "time": "9:00"},
+            {"source": [1, 10**400, 0], "target": [9, 10], "time": "9:00"},
+            {"source": [26, 5], "target": [9, 10], "time": "9:00", "deadline_ms": 10**400},
+            {"source": [26, 5], "target": [9, 10], "time": 10**400},
         ],
     )
-    def test_malformed_queries_answer_400(self, example_itgraph, document):
+    def test_malformed_queries_answer_400(self, example_itgraph, example_points, document):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
+
         async def body(service):
-            status, payload = await post_query(service.host, service.port, document)
-            assert status == 400
-            assert payload["type"]
-            assert service.metrics.bad_requests >= 1
+            reader, writer = await asyncio.open_connection(service.host, service.port)
+            try:
+                status, payload = await raw_request(
+                    service.host, service.port, "POST", "/query",
+                    json.dumps(document).encode(), reader=reader, writer=writer,
+                )
+                assert status == 400
+                assert payload["type"]
+                assert service.metrics.bad_requests >= 1
+                # The same keep-alive connection serves the next query.
+                status, payload = await raw_request(
+                    service.host, service.port, "POST", "/query",
+                    json.dumps(query_body(p3, p4)).encode(), reader=reader, writer=writer,
+                )
+                assert status == 200, payload
+                assert_matches_oracle(payload, oracle)
+            finally:
+                writer.close()
+                await writer.wait_closed()
 
         run_service_test(example_service(example_itgraph), body)
 

@@ -1,4 +1,5 @@
-"""Graceful lifecycle: drain-then-close semantics and idempotent shutdown.
+"""Graceful lifecycle: drain-then-close semantics, idempotent shutdown, and
+the ``python -m repro.service`` entry point's SIGINT drain.
 
 The drain contract: queries admitted before ``aclose`` are answered, not
 dropped — the buffers are flushed, in-flight batches finish, and only then
@@ -9,10 +10,15 @@ does the socket close.  ``aclose`` is idempotent like the engine/executor
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.engine import ITSPQEngine
 from repro.service import ITSPQService, ServiceConfig
 
@@ -114,3 +120,51 @@ class TestIdempotence:
             await service.aclose()  # never started: still clean
 
         asyncio.run(scenario())
+
+
+class TestEntryPoint:
+    """``python -m repro.service`` end to end: it answers a query, and on
+    SIGINT it drains, prints ``drained and closed`` last and exits 0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--venue", "a=example"),
+            ("--shards", "2", "--venue", "a=example", "--venue", "b=example"),
+        ],
+        ids=["single", "shards-2"],
+    )
+    def test_sigint_drains_and_exits_zero(self, example_itgraph, example_points, args):
+        p3, p4 = example_points["p3"], example_points["p4"]
+        oracle = ITSPQEngine(example_itgraph).query(p3, p4, "9:00")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+
+        async def scenario():
+            process = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro.service", "--port", "0", *args,
+                stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE, env=env,
+            )
+            try:
+                line = (await asyncio.wait_for(process.stdout.readline(), 60.0)).decode()
+                assert line.startswith("listening on "), line
+                host, _, port = line.split()[-1].rpartition(":")
+                # post_query closes its connection, so the drain below does
+                # not wait on an idle keep-alive read.
+                status, payload = await post_query(host, int(port), query_body(p3, p4, venue="a"))
+                assert status == 200, payload
+                assert_matches_oracle(payload, oracle)
+                process.send_signal(signal.SIGINT)
+                started = time.monotonic()
+                stdout, stderr = await asyncio.wait_for(process.communicate(), 60.0)
+                return process.returncode, stdout.decode(), stderr.decode(), time.monotonic() - started
+            finally:
+                if process.returncode is None:
+                    process.kill()
+                    await process.wait()
+
+        returncode, stdout, stderr, drain_seconds = asyncio.run(scenario())
+        assert returncode == 0, stderr[-2000:]
+        assert stdout.splitlines()[-1] == "drained and closed", stdout
+        # No process in the chain waits out a client read timeout on an idle
+        # connection: the router closes its pooled shard connections first.
+        assert drain_seconds < ServiceConfig().client_timeout_seconds

@@ -12,6 +12,7 @@ payload: the parity oracle shares bytes, not just code, with the shards.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -137,6 +138,9 @@ class TestPlanAndValidation:
             ({"max_respawns": 0}, "max_respawns"),
             ({"drain_timeout_seconds": -1}, "drain_timeout_seconds"),
             ({"max_body_bytes": 0}, "max_body_bytes"),
+            ({"respawn_backoff_base": float("nan")}, "respawn_backoff_base"),
+            ({"respawn_backoff_cap": float("nan")}, "respawn_backoff_cap"),
+            ({"drain_timeout_seconds": float("nan")}, "drain_timeout_seconds"),
         ],
     )
     def test_config_validation_names_the_field(self, kwargs, message):
@@ -206,7 +210,8 @@ class TestRoutingParity:
 
 
 class TestHostileBodies:
-    """Bodies the router must answer 400 itself, before any shard sees them."""
+    """Hostile bodies get a typed 400, from the router itself or from the
+    shard it forwards them to, and the connection serves on."""
 
     @staticmethod
     def one_shard_router(payload_files) -> ShardRouter:
@@ -244,6 +249,41 @@ class TestHostileBodies:
                 assert repr(field) in payload["error"]
             assert router.metrics.bad_requests == 3
             assert router.metrics.routed == 0
+
+        run_router_test(self.one_shard_router(payload_files), body)
+
+    def test_unconvertible_numbers_answer_400_and_keep_alive_serves_on(
+        self, payload_files, oracle_engine, example_points
+    ):
+        source, target = example_points["p3"], example_points["p4"]
+        oracle = oracle_engine.query(source, target, "9:00")
+        good = json.dumps(query_body(source, target)).encode()
+        hostile = [
+            {"source": [1, 1, float("inf")], "target": [9, 10], "time": "9:00"},
+            {"source": [1, 10**400, 0], "target": [9, 10], "time": "9:00"},
+            {"source": [26, 5], "target": [9, 10], "time": "9:00", "deadline_ms": 10**400},
+            {"source": [26, 5], "target": [9, 10], "time": 10**400},
+        ]
+
+        async def body(router):
+            reader, writer = await asyncio.open_connection(router.host, router.port)
+            try:
+                for document in hostile:
+                    status, payload = await raw_request(
+                        router.host, router.port, "POST", "/query",
+                        json.dumps(document).encode(), reader=reader, writer=writer,
+                    )
+                    assert status == 400, (document, payload)
+                    assert payload["type"] == "OverflowError"
+                    status, payload = await raw_request(
+                        router.host, router.port, "POST", "/query", good,
+                        reader=reader, writer=writer,
+                    )
+                    assert status == 200, payload
+                    assert_matches_oracle(payload, oracle)
+            finally:
+                writer.close()
+                await writer.wait_closed()
 
         run_router_test(self.one_shard_router(payload_files), body)
 
